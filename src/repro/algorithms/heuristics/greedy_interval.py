@@ -1,11 +1,18 @@
 """Constructive greedy heuristics for heterogeneous platforms.
 
 *Interval rule* (:func:`greedy_interval_period`): start with every
-application whole on the fastest available processor, then repeatedly split
-the interval with the worst weighted cycle-time, trying every cut point and
-every free processor for the detached half, keeping the split that most
-reduces the global period.  Stops at a local optimum or when processors run
-out.  ``O(p * n_max^2 * p)`` overall -- polynomial.
+application whole on the fastest available processor, then repeatedly
+split one interval in two, trying every interval, every cut point and
+every free processor for the detached half, and keep the split that most
+reduces the global period (ties broken by the sum of weighted
+per-application periods).  Stops at a local optimum or when processors
+run out.  ``O(p * n_max^2 * p)`` overall -- polynomial.  A round's
+candidates are scored as one batch through the shared kernel
+(:func:`repro.kernel.split_candidates` +
+:meth:`~repro.kernel.EvaluationContext.evaluate_many`); a budget meter is
+charged per round with ``reserve(n)``, one evaluation per candidate, so
+an evaluation cap stops the greedy at exactly the candidate a
+one-at-a-time scan would stop at.
 
 *One-to-one rule* (:func:`greedy_one_to_one_period`): stages sorted by
 decreasing weighted work are assigned one by one to the free processor
@@ -18,14 +25,15 @@ NP-hard benches, to be contrasted with :mod:`repro.algorithms.exact`.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
-from ...core.evaluation import evaluate
+import numpy as np
+
 from ...core.exceptions import InfeasibleProblemError
 from ...core.mapping import Assignment, Mapping
 from ...core.problem import ProblemInstance, Solution
-from ...core.types import Criterion, IN_ENDPOINT, MappingRule, OUT_ENDPOINT
+from ...core.types import IN_ENDPOINT, OUT_ENDPOINT
+from ...kernel import split_candidates
 
 
 def _initial_whole_app_mapping(problem: ProblemInstance) -> List[Assignment]:
@@ -56,93 +64,68 @@ def greedy_interval_period(
     """Split-the-bottleneck greedy for interval-mapping period minimization
     on arbitrary platforms (all processors at full speed).
 
-    Candidate splits are scored through the shared vectorized kernel with
-    incremental delta-evaluation (only the split application is
-    re-evaluated).  ``context`` optionally shares a prebuilt
+    Each round emits every split of the current mapping as one
+    :class:`~repro.kernel.CandidateBatch`
+    (:func:`~repro.kernel.split_candidates`), scores it with one
+    :meth:`~repro.kernel.EvaluationContext.evaluate_many` call and
+    materializes only the winner: the first candidate of least
+    ``(period, sum_a W_a * T_a)`` rank, taken when it strictly beats the
+    current mapping.  ``context`` optionally shares a prebuilt
     :class:`repro.kernel.EvaluationContext`.  ``budget`` optionally passes
     a cooperative budget meter (see :class:`repro.strategies.SolveBudget`)
-    ticked once per scored split; on exhaustion the best mapping found so
-    far is returned (always a valid whole-application mapping)."""
+    from which each round claims its candidates with ``reserve(n)``, one
+    evaluation per scored split; a round the meter cuts short still takes
+    the best split among its granted prefix, then the greedy stops
+    (always with a valid whole-application mapping)."""
     if problem.n_apps > problem.platform.n_processors:
         raise InfeasibleProblemError(
             "need at least one processor per application"
         )
     ctx = problem.evaluation_context(context)
-    assignments = _initial_whole_app_mapping(problem)
-    mapping = Mapping.from_assignments(assignments)
-
-    def rank(values) -> Tuple[float, float]:
-        # Lexicographic score: the global weighted period first, then the
-        # sum of weighted per-application periods.  The tie-breaker lets the
-        # greedy keep splitting non-critical applications when several tie
-        # at the bottleneck (otherwise partition-like instances stall the
-        # search immediately).
-        total = sum(
-            problem.apps[a].weight * t for a, t in values.periods.items()
-        )
-        return (values.period, total)
-
-    best_values = ctx.evaluate(mapping)
-    best_rank = rank(best_values)
+    mapping = Mapping.from_assignments(_initial_whole_app_mapping(problem))
+    weights = [app.weight for app in problem.apps]
+    values = ctx.evaluate(mapping)
+    # Lexicographic score: the global weighted period first, then the sum
+    # of weighted per-application periods (accumulated left to right in
+    # application order).  The tie-breaker lets the greedy keep splitting
+    # non-critical applications when several tie at the bottleneck
+    # (otherwise partition-like instances stall the search immediately).
+    total = 0.0
+    for a, w in enumerate(weights):
+        total += w * values.periods[a]
+    best_rank = (values.period, total)
     n_rounds = 0
     exhausted = False
     while not exhausted:
         n_rounds += 1
-        used = set(mapping.enrolled_processors)
-        free = [u for u in range(problem.platform.n_processors) if u not in used]
-        if not free:
+        batch = split_candidates(problem, mapping)
+        n_candidates = len(batch)
+        if n_candidates == 0:
             break
-        improved: Optional[Tuple[Tuple[float, float], Mapping, object]] = None
-        # Candidate splits: every splittable assignment, every cut, every
-        # free processor for the right half.
-        for victim in mapping.assignments:
-            if exhausted:
-                break
-            lo, hi = victim.interval
-            if lo == hi:
-                continue
-            others = [x for x in mapping.assignments if x is not victim]
-            for cut in range(lo, hi):
-                if exhausted:
-                    break
-                for u in free:
-                    if budget is not None and not budget.tick():
-                        exhausted = True
-                        break
-                    speed = problem.platform.processor(u).max_speed
-                    candidate = Mapping.from_assignments(
-                        others
-                        + [
-                            Assignment(
-                                app=victim.app,
-                                interval=(lo, cut),
-                                proc=victim.proc,
-                                speed=victim.speed,
-                            ),
-                            Assignment(
-                                app=victim.app,
-                                interval=(cut + 1, hi),
-                                proc=u,
-                                speed=speed,
-                            ),
-                        ]
-                    )
-                    candidate_values = ctx.delta_evaluate(
-                        candidate, mapping, best_values
-                    )
-                    candidate_rank = rank(candidate_values)
-                    if candidate_rank < best_rank and (
-                        improved is None or candidate_rank < improved[0]
-                    ):
-                        improved = (candidate_rank, candidate, candidate_values)
-        if improved is None:
+        granted = (
+            n_candidates if budget is None else budget.reserve(n_candidates)
+        )
+        if granted < n_candidates:
+            exhausted = True
+        if granted == 0:
             break
-        _, mapping, best_values = improved
-        best_rank = rank(best_values)
+        scan = batch.truncate(granted)
+        crit = ctx.evaluate_many(scan)
+        totals = np.zeros(granted)
+        for a, w in enumerate(weights):
+            totals += w * crit.periods[:, a]
+        ties = np.flatnonzero(crit.period == crit.period.min())
+        winner = int(ties[np.argmin(totals[ties])])
+        rank = (float(crit.period[winner]), float(totals[winner]))
+        if not rank < best_rank:
+            break
+        mapping = scan.materialize(winner)
+        values = crit.select(winner)
+        best_rank = rank
     return Solution(
         mapping=mapping,
-        objective=best_values.period,
-        values=best_values,
+        objective=values.period,
+        values=values,
         solver="greedy-split-bottleneck",
         optimal=False,
         stats={

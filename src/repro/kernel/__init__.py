@@ -17,7 +17,9 @@ as a data-parallel *cost-model kernel*:
 * :mod:`repro.kernel.neighborhood` -- the array-native neighborhood
   engine: the whole local-search move set of a mapping generated as one
   :class:`CandidateBatch` of column arrays (scored wholesale by
-  ``evaluate_many``), in the scalar generator's enumeration order;
+  ``evaluate_many``), in the scalar generator's enumeration order, and
+  :func:`split_candidates`, the split moves alone (one round of the
+  split-the-bottleneck greedy);
 * :mod:`repro.kernel.vectorized` -- whole-table builders (interval
   cycle-time matrices, latency segment costs, cheapest-feasible-mode energy
   tables) consumed by the dynamic-programming solvers;
@@ -33,7 +35,11 @@ agree to within 1e-9 relative tolerance on random instances.
 
 from . import compiled
 from .context import BatchCriteria, EvaluationContext, attach_kernel_arrays
-from .neighborhood import CandidateBatch, generate_neighborhood
+from .neighborhood import (
+    CandidateBatch,
+    generate_neighborhood,
+    split_candidates,
+)
 from .vectorized import (
     interval_cycle_matrix,
     interval_energy_table,
@@ -51,5 +57,6 @@ __all__ = [
     "interval_cycle_matrix",
     "interval_energy_table",
     "latency_segment_matrix",
+    "split_candidates",
     "weighted_cycle_candidates",
 ]

@@ -400,6 +400,23 @@ def _gen_candidate(
 
 
 @_jit
+def _dyn_energy(speeds, speeds_off, dyn, u, s, alpha):
+    """Dynamic energy ``s**alpha`` of processor ``u`` at speed ``s``.
+
+    Read from ``dyn``, the plan's per-mode table built by NumPy's array
+    power -- the operation ``evaluate_many`` uses.  Recomputing it here as
+    a scalar power can differ by one ulp (NumPy's array power squares
+    with ``x * x`` for ``alpha == 2`` and may use SIMD routines for other
+    exponents).  A speed within the mode tolerance but not equal to any
+    mode falls back to the scalar power.
+    """
+    for q in range(speeds_off[u], speeds_off[u + 1]):
+        if speeds[q] == s:
+            return dyn[q]
+    return s**alpha
+
+
+@_jit
 def _eval_candidate(
     capp,
     clo,
@@ -418,6 +435,9 @@ def _eval_candidate(
     bw_link,
     bw_tid,
     static,
+    speeds,
+    speeds_off,
+    dyn,
     alpha,
     model,
     periods_out,
@@ -432,7 +452,9 @@ def _eval_candidate(
     bandwidths, max (overlap) or left-associated sum (no-overlap) cycles,
     ``input/bw + seq(t_comp) + seq(t_out)`` latencies with two separate
     left-to-right accumulators, and the energy as a stable
-    processor-ascending sequential sum of ``static + speed**alpha``.
+    processor-ascending sequential sum of ``static + speed**alpha``, the
+    dynamic term read from the plan's NumPy-built table (see
+    :func:`_dyn_energy`).
     """
     wperiod = _NEG_INF
     wlatency = _NEG_INF
@@ -501,7 +523,10 @@ def _eval_candidate(
         order[w + 1] = key
     for q in range(mc):
         row = order[q]
-        energy = energy + (static[cproc[row]] + cspeed[row] ** alpha)
+        u = cproc[row]
+        energy = energy + (
+            static[u] + _dyn_energy(speeds, speeds_off, dyn, u, cspeed[row], alpha)
+        )
     return wperiod, wlatency, energy
 
 
@@ -574,6 +599,7 @@ def _best_step(
     bw_link,
     bw_tid,
     static,
+    dyn,
     alpha,
     model,
     crit,
@@ -633,6 +659,9 @@ def _best_step(
             bw_link,
             bw_tid,
             static,
+            speeds,
+            speeds_off,
+            dyn,
             alpha,
             model,
             periods_tmp,
@@ -708,6 +737,7 @@ class CompiledPlan:
         "static",
         "speeds",
         "speeds_off",
+        "dyn",
         "_oa",
         "_ol",
         "_oh",
@@ -759,6 +789,8 @@ class CompiledPlan:
         )
         self.speeds_off = np.zeros(self.n_procs + 1, dtype=np.int64)
         np.cumsum([len(ladder) for ladder in ladders], out=self.speeds_off[1:])
+        # Per-mode dynamic energy, by the same array power as evaluate_many.
+        self.dyn = np.ascontiguousarray(self.speeds ** ctx._alpha)
         # Scratch: a candidate never has more rows than processors + 1.
         size = self.n_procs + 1
         self._oa = np.empty(size, dtype=np.int64)
@@ -883,6 +915,7 @@ class CompiledPlan:
             self.bw_link,
             self.bw_tid,
             self.static,
+            self.dyn,
             self.alpha,
             self.model,
             crit_code,
@@ -987,6 +1020,9 @@ class CompiledPlan:
             self.bw_link,
             self.bw_tid,
             self.static,
+            self.speeds,
+            self.speeds_off,
+            self.dyn,
             self.alpha,
             self.model,
             self._periods,
@@ -1102,6 +1138,7 @@ def warmup() -> bool:
         bw_link,
         bw_tid,
         static,
+        speeds**2.0,
         2.0,
         0,
         0,

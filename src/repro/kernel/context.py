@@ -548,7 +548,9 @@ class EvaluationContext:
         else:
             cycles = t_in + t_comp + t_out
         period = float(cycles.max())
-        latency = (
+        # ``bw_in[0]`` is a NumPy scalar: convert, so every evaluation
+        # path (this one and ``BatchCriteria.select``) yields plain floats.
+        latency = float(
             self.apps[app_index].input_data_size / bw_in[0]
             + _seq_sum(t_comp)
             + _seq_sum(t_out)

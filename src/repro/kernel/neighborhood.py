@@ -24,6 +24,9 @@ The six move kinds mirror the scalar generator exactly:
 ``shift``/``split``/``merge`` are disabled under the one-to-one rule.
 Candidate order is the scalar generator's order, so budget-truncated
 scans and tie-breaking replay bit-identically.
+
+:func:`split_candidates` emits the ``split`` block on its own: the
+candidate set of one round of the split-the-bottleneck greedy.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "KIND_NAMES",
     "clamp_speed",
     "generate_neighborhood",
+    "split_candidates",
 ]
 
 #: Candidate kind labels, indexed by the ``kinds`` codes of a batch.
@@ -207,6 +211,82 @@ class _Blocks:
         )
 
 
+def _free_processors(platform, proc: np.ndarray) -> List[int]:
+    """Ascending ids of the processors no row of ``proc`` enrolls."""
+    used = set(proc.tolist())
+    return [u for u in range(platform.n_processors) if u not in used]
+
+
+def _add_splits(blocks: _Blocks, platform, columns, free: List[int]) -> None:
+    """Append the split block: every interval of ``columns`` cut in two,
+    the right half on a free processor at its fastest mode.
+
+    Enumeration order is row major (canonical ``(app, lo)`` order), cut
+    ascending, then free processor ascending.
+    """
+    n_free = len(free)
+    if not n_free:
+        return
+    base_lo = columns.lo
+    base_hi = columns.hi
+    per_row = (base_hi - base_lo) * n_free
+    k = int(per_row.sum())
+    if not k:
+        return
+    m = len(base_lo)
+    idx_arr = np.repeat(np.arange(m), per_row)
+    # Position of each candidate inside its victim row's block.
+    offset = np.arange(k) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    pick = offset % n_free
+    split_cut = base_lo[idx_arr] + offset // n_free
+    split_proc = np.asarray(free, dtype=np.intp)[pick]
+    split_speed = np.array(
+        [platform.processor(u).max_speed for u in free], dtype=np.float64
+    )[pick]
+    # Gather map: slot t copies base row t before the insertion point and
+    # base row t - 1 after it; the inserted slot (idx + 1) starts as a
+    # copy of the split row and is then overwritten field by field.
+    slots = np.arange(m + 1)[None, :]
+    take = np.where(slots <= idx_arr[:, None], slots, slots - 1)
+    app_rows = columns.rows[:, 0].astype(np.intp)[take]
+    lo_rows = base_lo[take]
+    hi_rows = base_hi[take]
+    proc_rows = columns.proc[take]
+    speed_rows = columns.speed[take]
+    flat_rows = np.arange(k)
+    hi_rows[flat_rows, idx_arr] = split_cut
+    lo_rows[flat_rows, idx_arr + 1] = split_cut + 1
+    proc_rows[flat_rows, idx_arr + 1] = split_proc
+    speed_rows[flat_rows, idx_arr + 1] = split_speed
+    blocks.add(
+        _SPLIT, app_rows, lo_rows, hi_rows, proc_rows, speed_rows, k, m + 1
+    )
+
+
+def split_candidates(problem, mapping: Mapping) -> CandidateBatch:
+    """Every split of a valid mapping, as one :class:`CandidateBatch`.
+
+    A split cuts one interval ``[lo, hi]`` at ``cut`` into ``[lo, cut]``,
+    kept on its processor and speed, and ``[cut + 1, hi]``, enrolled on
+    a free processor at that processor's fastest mode.  Candidates come
+    victim row first (canonical order), then cut ascending, then free
+    processor ascending: the split block of
+    :func:`generate_neighborhood`, and the candidate order of the
+    split-the-bottleneck greedy
+    (:func:`repro.algorithms.heuristics.greedy_interval_period`).  The
+    batch is empty when no processor is free or every interval is a
+    single stage.  The mapping rule is not consulted: splits are only
+    meaningful under the interval rule, which is the caller's to check.
+    """
+    columns = mapping_columns(mapping)
+    platform = problem.platform
+    blocks = _Blocks()
+    _add_splits(
+        blocks, platform, columns, _free_processors(platform, columns.proc)
+    )
+    return blocks.assemble()
+
+
 def generate_neighborhood(problem, mapping: Mapping) -> CandidateBatch:
     """All neighbors of a valid mapping, as one :class:`CandidateBatch`.
 
@@ -240,8 +320,7 @@ def _generate_neighborhood(problem, mapping: Mapping) -> CandidateBatch:
     base_proc = columns.proc
     base_speed = columns.speed
     platform = problem.platform
-    used = set(base_proc.tolist())
-    free = [u for u in range(platform.n_processors) if u not in used]
+    free = _free_processors(platform, base_proc)
     interval_rule = problem.rule is MappingRule.INTERVAL
     blocks = _Blocks()
 
@@ -411,49 +490,6 @@ def _generate_neighborhood(problem, mapping: Mapping) -> CandidateBatch:
         )
 
     # split moves ------------------------------------------------------
-    if free:
-        split_idx: List[int] = []
-        split_cut: List[int] = []
-        split_proc: List[int] = []
-        split_speed: List[float] = []
-        for idx in range(m):
-            lo_v, hi_v = lo_l[idx], hi_l[idx]
-            if lo_v == hi_v:
-                continue
-            for cut in range(lo_v, hi_v):
-                for u in free:
-                    split_idx.append(idx)
-                    split_cut.append(cut)
-                    split_proc.append(u)
-                    split_speed.append(platform.processor(u).max_speed)
-        if split_idx:
-            k = len(split_idx)
-            idx_arr = np.asarray(split_idx, dtype=np.intp)
-            # Gather map: slot t copies base row t before the insertion
-            # point and base row t - 1 after it; the inserted slot
-            # (idx + 1) starts as a copy of the split row and is then
-            # overwritten field by field.
-            slots = np.arange(m + 1)[None, :]
-            take = np.where(slots <= idx_arr[:, None], slots, slots - 1)
-            app_rows = base_app[take]
-            lo_rows = base_lo[take]
-            hi_rows = base_hi[take]
-            proc_rows = base_proc[take]
-            speed_rows = base_speed[take]
-            flat_rows = np.arange(k)
-            hi_rows[flat_rows, idx_arr] = split_cut
-            lo_rows[flat_rows, idx_arr + 1] = np.asarray(split_cut) + 1
-            proc_rows[flat_rows, idx_arr + 1] = split_proc
-            speed_rows[flat_rows, idx_arr + 1] = split_speed
-            blocks.add(
-                _SPLIT,
-                app_rows,
-                lo_rows,
-                hi_rows,
-                proc_rows,
-                speed_rows,
-                k,
-                m + 1,
-            )
+    _add_splits(blocks, platform, columns, free)
 
     return blocks.assemble()

@@ -5,12 +5,13 @@ evaluation cap and an RNG seed — attached to a solve request (a campaign
 solver entry, a CLI flag, a direct :func:`repro.service.solve_one` call).
 A :class:`BudgetMeter` is its running counterpart: solvers that support
 budgets call :meth:`BudgetMeter.tick` once per candidate evaluation (or
-search node) and stop cooperatively when it returns ``False``, keeping
-the best solution found so far.
+search node), or claim a whole batch of candidates at once with
+:meth:`BudgetMeter.reserve`, and stop cooperatively when the meter says
+no, keeping the best solution found so far.
 
 The meter is *duck-typed* on purpose: the algorithm layer
-(:mod:`repro.algorithms`) accepts any object with ``tick()`` so it never
-has to import this (higher) layer.
+(:mod:`repro.algorithms`) accepts any object with ``tick()`` and
+``reserve()`` so it never has to import this (higher) layer.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ class SolveBudget:
     ----------
     time_limit:
         Wall-clock limit in seconds (``None`` = unlimited).  Enforced
-        cooperatively: solvers check between candidate evaluations, so
-        the overshoot is bounded by one candidate evaluation (one
-        constructive pass for the greedy starts, which run to
-        completion).
+        cooperatively: solvers check between candidate evaluations or
+        between batches of them (a hill-climb step, a round of the
+        split-the-bottleneck greedy), so the overshoot is bounded by one
+        batch.
     max_evaluations:
         Cap on candidate evaluations / search nodes (``None`` =
         unlimited).
