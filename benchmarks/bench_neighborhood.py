@@ -1,4 +1,4 @@
-"""Neighborhood-engine benchmark: scalar vs batched vs compiled hill climbing.
+"""Neighborhood benchmark: one-``Mapping``-at-a-time vs batched hill climbing.
 
 Run as a script to (re)record the performance baseline::
 
@@ -6,48 +6,34 @@ Run as a script to (re)record the performance baseline::
 
 It builds a grid of 100-stage / 20-processor NP-hard instances (two
 50-stage applications on fully heterogeneous and comm-homogeneous
-multi-modal platforms), runs :func:`repro.algorithms.heuristics.hill_climb`
-from the same greedy start with every registered neighborhood engine --
-``"scalar"`` (the seed's one-``Mapping``-at-a-time loop with
-delta-evaluation), ``"batched"`` (array-native candidate generation +
-one ``evaluate_many`` kernel call per step) and, when Numba is
-installed, ``"compiled"`` (:mod:`repro.kernel.compiled`: generation,
-evaluation, scoring and the accept replay fused into one nopython call
-per step) -- and writes ``BENCH_neighborhood.json`` next to this file.
-
-The compiled engine is additionally measured against the batched one on
-a dedicated 200-stage / 20-processor grid (the regime the JIT targets),
-with the one-off JIT compilation time reported separately and excluded
-from every per-instance timing (each instance's plan is prebuilt via
-:func:`repro.kernel.compiled.compile_for` before the clock starts).
+multi-modal platforms), runs
+:func:`repro.algorithms.heuristics.hill_climb` (array-native candidate
+generation + one ``evaluate_many`` kernel call per step) and its test
+oracle ``reference_hill_climb`` (one ``Mapping`` per neighbor, scored by
+delta-evaluation; loaded from ``tests/algorithms/reference_local_search.py``)
+from the same greedy start, and writes ``BENCH_neighborhood.json`` next
+to this file.
 
 Asserted when run as a script:
 
-* all engines return **byte-identical** solutions (same mapping, same
+* both return **byte-identical** solutions (same mapping, same
   objective, same stats) on every instance;
-* the geometric-mean speedup of the batched engine over the scalar one
-  is **>= 4x** (``--tiny`` relaxes the bar to >= 1.5x for the CI smoke
-  grid);
-* the geometric-mean speedup of the compiled engine over the batched
-  one on the 200-stage grid is **>= 3x** (``--tiny``: >= 1.0x, a smoke
-  bar).  *Escape hatch:* when Numba is not installed, or
-  ``NUMBA_DISABLE_JIT`` forces the kernels to run interpreted, the
-  compiled section records ``skipped`` + the reason instead of failing.
+* the geometric-mean speedup of the batched climb over the oracle is
+  **>= 4x** (``--tiny`` relaxes the bar to >= 1.5x for the CI smoke
+  grid).
 
 The JSON also records a ``guard`` block (reference-instance wall-clock
 plus a machine-calibration time) consumed by
 ``tests/perf/test_hill_climb_guard.py``, which fails when hill climbing
 on the reference instance regresses to more than 1.5x the recorded
-wall-clock (after rescaling by the calibration ratio).  The block's
-``compiled_seconds`` is ``null`` when the baseline was recorded without
-Numba; the compiled guard test skips itself in that case.
+wall-clock (after rescaling by the calibration ratio).
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
-import os
 import platform as _platform
 import sys
 import time
@@ -63,7 +49,13 @@ from repro.generators.platforms import (
     random_comm_homogeneous_platform,
     random_fully_heterogeneous_platform,
 )
-from repro.kernel import compiled
+
+ORACLE = (
+    Path(__file__).resolve().parents[1]
+    / "tests"
+    / "algorithms"
+    / "reference_local_search.py"
+)
 
 #: Hill-climbing steps per instance: enough to amortize the greedy start
 #: while keeping the scalar baseline affordable.
@@ -72,24 +64,22 @@ MAX_ITERATIONS = 8
 #: The instance replayed by the wall-clock guard test.
 GUARD_SEED = 0
 
-#: Per-application stage count of the dedicated compiled-vs-batched grid
-#: (2 apps x 100 stages = the 200-stage regime the JIT targets).
-COMPILED_STAGES = 100
 
-#: Hill-climbing steps on the compiled grid (no scalar baseline to
-#: amortize, so more steps fit the budget).
-COMPILED_ITERATIONS = 4
+def load_oracle():
+    """The one-``Mapping``-at-a-time hill climb, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        "reference_local_search", ORACLE
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reference_hill_climb
 
 
-def build_instance(
-    seed: int, *, tiny: bool = False, stages: int | None = None
-) -> ProblemInstance:
-    """One bench instance: 2 x ``stages`` stages on 20 processors
-    (2 x 10 stages on 8 processors under ``--tiny``), NP-hard
-    heterogeneous cells.  ``stages`` defaults to 50 (10 under tiny)."""
+def build_instance(seed: int, *, tiny: bool = False) -> ProblemInstance:
+    """One bench instance: 2 x 50 stages on 20 processors (2 x 10 stages
+    on 8 processors under ``--tiny``), NP-hard heterogeneous cells."""
     rng = rng_from(seed)
-    if stages is None:
-        stages = 10 if tiny else 50
+    stages = 10 if tiny else 50
     procs = 8 if tiny else 20
     apps = random_applications(rng, 2, stage_range=(stages, stages))
     if seed % 2 == 0:
@@ -121,24 +111,10 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
-def compiled_skip_reason() -> str | None:
-    """Why the compiled section cannot produce meaningful timings here,
-    or ``None`` when it can (the bench's skip-with-reason escape hatch)."""
-    if not compiled.HAVE_NUMBA:
-        return "numba is not installed (pip install repro-pipelines[compiled])"
-    if os.environ.get("NUMBA_DISABLE_JIT", "0") not in ("", "0"):
-        return "NUMBA_DISABLE_JIT is set (kernels run interpreted)"
-    return None
-
-
-def _timed_hill_climb(problem, start, engine, max_iterations):
+def _timed_hill_climb(climb, problem, start):
     t0 = time.perf_counter()
-    solution = hill_climb(
-        problem,
-        start,
-        Criterion.PERIOD,
-        max_iterations=max_iterations,
-        engine=engine,
+    solution = climb(
+        problem, start, Criterion.PERIOD, max_iterations=MAX_ITERATIONS
     )
     return solution, time.perf_counter() - t0
 
@@ -152,73 +128,8 @@ def _same_solution(a, b) -> bool:
     )
 
 
-def run_compiled_grid(tiny: bool) -> dict:
-    """The dedicated compiled-vs-batched grid (200-stage instances; the
-    tiny smoke reuses the tiny grid).  JIT warmup and per-instance plan
-    builds happen before the clock starts; the one-off compile cost is
-    reported separately as ``compile_seconds``."""
-    reason = compiled_skip_reason()
-    section: dict = {
-        "available": compiled.available(),
-        "numba": compiled.NUMBA_VERSION,
-        "skipped": reason is not None,
-        "reason": reason,
-        "n_stages": 2 * (10 if tiny else COMPILED_STAGES),
-        "max_iterations": COMPILED_ITERATIONS,
-    }
-    if reason is not None:
-        return section
-    t0 = time.perf_counter()
-    compiled.warmup()
-    compile_seconds = time.perf_counter() - t0
-    seeds = range(2) if tiny else range(4)
-    per_instance = []
-    identical = True
-    for seed in seeds:
-        stages = None if tiny else COMPILED_STAGES
-        problem = build_instance(seed, tiny=tiny, stages=stages)
-        start = greedy_interval_period(problem).mapping
-        # Plan build (array packing) is one-off per instance; exclude it
-        # from the timed run, mirroring what a warmed worker sees.
-        compiled.compile_for(problem)
-        problem.evaluation_context()
-        batched, t_batched = _timed_hill_climb(
-            problem, start, "batched", COMPILED_ITERATIONS
-        )
-        comp, t_compiled = _timed_hill_climb(
-            problem, start, "compiled", COMPILED_ITERATIONS
-        )
-        same = _same_solution(batched, comp)
-        identical = identical and same
-        per_instance.append(
-            {
-                "seed": seed,
-                "n_stages": problem.n_stages_total,
-                "n_processors": problem.platform.n_processors,
-                "batched_seconds": round(t_batched, 6),
-                "compiled_seconds": round(t_compiled, 6),
-                "speedup_vs_batched": round(t_batched / t_compiled, 3),
-                "objective": comp.objective,
-                "n_steps": comp.stats["n_steps"],
-                "identical_solutions": same,
-            }
-        )
-    section.update(
-        compile_seconds=round(compile_seconds, 6),
-        instances=per_instance,
-        geomean_speedup_vs_batched=round(
-            geomean([r["speedup_vs_batched"] for r in per_instance]), 3
-        ),
-        identical_solutions=identical,
-    )
-    return section
-
-
 def run(output: Path, tiny: bool = False) -> dict:
-    engines = ["scalar", "batched"]
-    if compiled.available():
-        engines.append("compiled")
-        compiled.warmup()
+    climbs = {"scalar": load_oracle(), "batched": hill_climb}
     seeds = range(2) if tiny else range(6)
     per_instance = []
     identical = True
@@ -226,42 +137,31 @@ def run(output: Path, tiny: bool = False) -> dict:
     for seed in seeds:
         problem = build_instance(seed, tiny=tiny)
         start = greedy_interval_period(problem).mapping
-        if "compiled" in engines:
-            compiled.compile_for(problem)  # plan build outside the clock
         timings = {}
         solutions = {}
-        for engine in engines:
-            solutions[engine], timings[engine] = _timed_hill_climb(
-                problem, start, engine, MAX_ITERATIONS
+        for name, climb in climbs.items():
+            solutions[name], timings[name] = _timed_hill_climb(
+                climb, problem, start
             )
-        same = all(
-            _same_solution(solutions["batched"], solutions[e])
-            for e in engines
-            if e != "batched"
-        )
+        same = _same_solution(solutions["batched"], solutions["scalar"])
         identical = identical and same
-        record = {
-            "seed": seed,
-            "n_stages": problem.n_stages_total,
-            "n_processors": problem.platform.n_processors,
-            "scalar_seconds": round(timings["scalar"], 6),
-            "batched_seconds": round(timings["batched"], 6),
-            "speedup": round(timings["scalar"] / timings["batched"], 3),
-            "objective": solutions["batched"].objective,
-            "n_steps": solutions["batched"].stats["n_steps"],
-            "identical_solutions": same,
-        }
-        if "compiled" in engines:
-            record["compiled_seconds"] = round(timings["compiled"], 6)
-            record["compiled_speedup_vs_batched"] = round(
-                timings["batched"] / timings["compiled"], 3
-            )
-        per_instance.append(record)
+        per_instance.append(
+            {
+                "seed": seed,
+                "n_stages": problem.n_stages_total,
+                "n_processors": problem.platform.n_processors,
+                "scalar_seconds": round(timings["scalar"], 6),
+                "batched_seconds": round(timings["batched"], 6),
+                "speedup": round(timings["scalar"] / timings["batched"], 3),
+                "objective": solutions["batched"].objective,
+                "n_steps": solutions["batched"].stats["n_steps"],
+                "identical_solutions": same,
+            }
+        )
         if seed == GUARD_SEED:
             guard = {
                 "seed": seed,
                 "batched_seconds": timings["batched"],
-                "compiled_seconds": timings.get("compiled"),
                 "calibration_seconds": calibrate(),
                 "max_iterations": MAX_ITERATIONS,
                 "tiny": tiny,
@@ -272,13 +172,12 @@ def run(output: Path, tiny: bool = False) -> dict:
         "python": _platform.python_version(),
         "machine": _platform.machine(),
         "tiny": tiny,
-        "engines": engines,
+        "engines": list(climbs),
         "n_instances": len(per_instance),
         "max_iterations": MAX_ITERATIONS,
         "instances": per_instance,
         "geomean_speedup": round(speedup, 3),
         "identical_solutions": identical,
-        "compiled": run_compiled_grid(tiny),
         "guard": guard,
     }
     output.write_text(json.dumps(payload, indent=2))
@@ -297,7 +196,7 @@ def main() -> int:
     )
     payload = run(output, tiny=tiny)
     assert payload["identical_solutions"], (
-        "the neighborhood engines returned different solutions"
+        "batched and oracle hill_climb returned different solutions"
     )
     bar = 1.5 if tiny else 4.0
     assert payload["geomean_speedup"] >= bar, (
@@ -306,28 +205,9 @@ def main() -> int:
     )
     print(
         f"ok: batched neighborhood engine {payload['geomean_speedup']}x "
-        f"geomean speedup over the scalar path "
+        f"geomean speedup over the one-Mapping-at-a-time oracle "
         f"({payload['n_instances']} instances, byte-identical solutions)"
     )
-    section = payload["compiled"]
-    if section["skipped"]:
-        print(f"compiled engine section skipped: {section['reason']}")
-    else:
-        assert section["identical_solutions"], (
-            "compiled and batched hill_climb returned different solutions"
-        )
-        compiled_bar = 1.0 if tiny else 3.0
-        assert section["geomean_speedup_vs_batched"] >= compiled_bar, (
-            f"compiled geomean speedup "
-            f"{section['geomean_speedup_vs_batched']}x below the "
-            f"{compiled_bar}x acceptance bar"
-        )
-        print(
-            f"ok: compiled engine "
-            f"{section['geomean_speedup_vs_batched']}x geomean speedup "
-            f"over the batched path on the {section['n_stages']}-stage "
-            f"grid (compile: {section['compile_seconds']}s, excluded)"
-        )
     return 0
 
 

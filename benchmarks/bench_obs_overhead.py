@@ -12,7 +12,7 @@ recording enabled, a live trace on every request) and fully disabled
   regime where per-request obs cost is largest relative to useful work
   (no solver time to hide behind: every job is a cache hit);
 * ``hill_climb`` -- a single-process batched hill-climb solve inside an
-  active trace, exercising the engine's phase accumulation
+  active trace, exercising the solver's phase accumulation
   (``collect``/``track``) on the hot path.
 
 Each configuration is repeated and the **minimum** wall-clock is kept
@@ -129,7 +129,6 @@ def bench_hill_climb(*, tiny: bool) -> dict:
             start,
             Criterion.PERIOD,
             max_iterations=max_iterations,
-            engine="batched",
         )
 
     solutions = {}

@@ -2,8 +2,8 @@
 
 A randomized escape from the local optima of :func:`hill_climb`: classical
 Metropolis acceptance with geometric cooling over the same move set
-(:func:`repro.algorithms.heuristics.local_search.neighbors`).  Fully
-deterministic given the seed.
+(:func:`repro.kernel.generate_neighborhood`).  Fully deterministic given
+the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ...core.types import Criterion
 from ...kernel import generate_neighborhood
 from ...obs.spans import collect as _collect_spans
 from ...obs.spans import track as _track
-from .local_search import _resolve_engine, neighbors, score_values
+from .local_search import score_values
 
 
 def anneal(
@@ -35,30 +35,15 @@ def anneal(
     cooling: float = 0.995,
     context=None,
     budget=None,
-    engine: Optional[str] = None,
 ) -> Solution:
     """Simulated annealing from ``start``.
 
-    With the default ``"batched"`` engine each proposal is drawn from
-    the array-native neighborhood
+    Each proposal is drawn from the array-native neighborhood
     (:func:`repro.kernel.generate_neighborhood`): the candidate set
     exists only as stacked column arrays, the sampled candidate is
     scored through a one-candidate
     :meth:`~repro.kernel.EvaluationContext.evaluate_many` slice, and a
-    ``Mapping`` is materialized only on acceptance.  The ``"compiled"``
-    engine (:mod:`repro.kernel.compiled`) never builds the candidate set
-    at all: the neighborhood is *counted* in one nopython call, the
-    sampled index is generated, evaluated and scored in another, and a
-    ``Mapping`` is materialized only on acceptance; it falls back to
-    ``"batched"`` (once-per-process warning) when Numba is absent or the
-    problem shape is unsupported.  The ``"scalar"`` engine materializes
-    the whole neighborhood per proposal (the original loop).  All
-    registered engines
-    (:func:`repro.algorithms.heuristics.local_search.engine_names`) draw
-    identical candidate sequences from identical seeds and return
-    byte-identical solutions (all tick the budget once per proposal, so
-    unlike ``hill_climb`` the parity holds under wall-clock deadlines
-    too).
+    ``Mapping`` is materialized only on acceptance.
 
     Parameters
     ----------
@@ -78,23 +63,7 @@ def anneal(
         :class:`repro.strategies.SolveBudget`) ticked once per proposed
         move (one proposal = one scored candidate = one evaluation); on
         exhaustion the best mapping found so far is returned.
-    engine:
-        Any name from
-        :func:`repro.algorithms.heuristics.local_search.engine_names`
-        (the shared hill-climb registry), or ``None`` for the module
-        default
-        (:data:`repro.algorithms.heuristics.local_search.DEFAULT_ENGINE`);
-        unknown names raise a ``ValueError`` listing the registry.
     """
-    name = _resolve_engine(engine)
-    plan = None
-    if name == "compiled":
-        from ...kernel import compiled
-
-        plan, _reason = compiled.acquire(problem, context)
-        if plan is None:
-            name = "batched"
-    batched = name == "batched"
     ctx = problem.evaluation_context(context)
     rng = np.random.default_rng(seed)
     current = start
@@ -108,63 +77,30 @@ def anneal(
         if initial_temperature is not None
         else max(1e-9, 0.1 * current_score)
     )
-    if plan is not None:
-        state = plan.state_from(current)
-        crit = plan.criteria_arrays(criterion, thresholds)
     n_accepted = 0
     exhausted = False
-    with _collect_spans("solve.anneal", engine=name):
+    with _collect_spans("solve.anneal"):
         for _ in range(n_iterations):
             if budget is not None and not budget.tick():
                 exhausted = True
                 break
-            if plan is not None:
-                free = plan.free_procs(state)
-                count = plan.count(state, free)
-                if count == 0:
-                    break
-                index = int(rng.integers(count))
-                s, values = plan.propose(state, free, index, crit)
-                candidate = None  # materialized only on acceptance
-            elif batched:
-                batch = generate_neighborhood(problem, current)
-                if len(batch) == 0:
-                    break
-                index = int(rng.integers(len(batch)))
-                proposal = batch.single(index)
-                values = ctx.evaluate_many(proposal).select(0)
-                candidate = None  # materialized only on acceptance
-                s = score_values(values, criterion, thresholds)
-            else:
-                # The scalar path materializes the whole neighborhood
-                # per proposal; generation + incremental evaluation are
-                # tracked as one fused phase (as in scalar hill-climb).
-                with _track("solve.evaluate"):
-                    options = list(neighbors(problem, current))
-                    if not options:
-                        break
-                    candidate = options[int(rng.integers(len(options)))]
-                    values = ctx.delta_evaluate(
-                        candidate, current, current_values
-                    )
-                    s = score_values(values, criterion, thresholds)
+            batch = generate_neighborhood(problem, current)
+            if len(batch) == 0:
+                break
+            proposal = batch.single(int(rng.integers(len(batch))))
+            values = ctx.evaluate_many(proposal).select(0)
+            s = score_values(values, criterion, thresholds)
             delta = s - current_score
             if delta <= 0 or rng.random() < math.exp(
                 -delta / max(temperature, 1e-12)
             ):
                 with _track("solve.accept"):
-                    if candidate is None:
-                        if plan is not None:
-                            state = plan.take(state, free, index)
-                            candidate = plan.materialize(state)
-                        else:
-                            candidate = proposal.materialize(0)
-                    current = candidate
+                    current = proposal.materialize(0)
                     current_values = values
                     current_score = s
                 n_accepted += 1
                 if s < best_score:
-                    best = candidate
+                    best = current
                     best_values = values
                     best_score = s
             temperature *= cooling

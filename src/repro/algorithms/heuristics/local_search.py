@@ -21,279 +21,44 @@ best-improvement descent over this neighborhood; infeasible neighbors are
 scored with a large penalty per violated threshold so the search can walk
 back into the feasible region.
 
-Three engines drive the descent.  The default ``"batched"`` engine
-generates the whole neighborhood as stacked column arrays
-(:func:`repro.kernel.generate_neighborhood`), scores it in one
+Each descent step generates the whole neighborhood as stacked column
+arrays (:func:`repro.kernel.generate_neighborhood`), scores it in one
 vectorized kernel call
 (:meth:`~repro.kernel.EvaluationContext.evaluate_many` +
 :func:`score_many`) and materializes only the accepted candidate.  The
-``"compiled"`` engine (:mod:`repro.kernel.compiled`) fuses generation,
-evaluation, scoring and the accept replay into one Numba ``@njit`` call
-per step -- zero Python re-entry -- and silently degrades to
-``"batched"`` (with a once-per-process warning) when Numba is absent or
-the problem shape is unsupported.  The ``"scalar"`` engine is the
-original one-``Mapping``-at-a-time loop, kept as the equivalence
-reference and benchmark baseline: all engines return byte-identical
-solutions for identical inputs -- unbudgeted or under an evaluation cap
-(asserted by ``tests/kernel/test_neighborhood_property.py`` and
-``benchmarks/bench_neighborhood.py``).  Under a wall-clock
-``time_limit`` the batched and compiled engines check the deadline once
-per neighborhood batch instead of once per candidate, so where the
-clock runs out mid-scan they may part from the scalar engine by up to
-one batch of evaluations (one descent step).
+tests keep a one-``Mapping``-at-a-time form of the same search as the
+oracle it must match byte for byte, unbudgeted or under an evaluation
+cap.  A wall-clock ``time_limit`` is checked once per neighborhood
+batch, so a deadline hit mid-scan still lets that scan finish.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 import numpy as np
 
-from ...core.mapping import Assignment, Mapping
+from ...core.mapping import Mapping
 from ...core.objectives import Thresholds
 from ...core.problem import ProblemInstance, Solution
-from ...core.types import Criterion, MappingRule
+from ...core.types import Criterion
 from ...kernel import generate_neighborhood
-from ...kernel.neighborhood import clamp_speed
 from ...obs.spans import collect as _collect_spans
 from ...obs.spans import track as _track
 
 #: Penalty factor applied per unit of relative threshold violation.
 _PENALTY = 1e9
 
-#: Neighborhood engine used when ``hill_climb``/``anneal`` receive
-#: ``engine=None``: ``"batched"`` (array-native, the default),
-#: ``"compiled"`` (Numba-fused, falls back to batched) or ``"scalar"``
-#: (the reference loop).  Module-level so test harnesses and pool-worker
-#: initializers can flip whole strategy stacks (portfolios, the service
-#: layer) onto another engine without threading a parameter through
-#: every layer.
-DEFAULT_ENGINE = "batched"
-
-#: Registered hill-climb engines, name -> implementation, in
-#: registration order.  Populated at module bottom; error messages and
-#: every engine listing (CLI, healthz, docs) derive from this mapping so
-#: adding an engine is a one-line registration.
-_ENGINES: Dict[str, object] = {}
-
-
-def engine_names() -> Tuple[str, ...]:
-    """The registered neighborhood engine names, registration order."""
-    return tuple(_ENGINES)
-
-
-def engine_info() -> Dict[str, object]:
-    """Operational snapshot of the engine registry -- surfaced by the
-    daemon's ``/v1/healthz`` and ``repro-pipelines strategies list``:
-    registered names, the process-wide default, whether the compiled
-    engine can actually run, and the Numba version (``None`` when not
-    installed)."""
-    from ...kernel import compiled
-
-    return {
-        "engines": list(_ENGINES),
-        "default": DEFAULT_ENGINE,
-        "compiled_available": compiled.available(),
-        "numba": compiled.NUMBA_VERSION,
-    }
-
-
-def _resolve_engine(engine: Optional[str]) -> str:
-    name = DEFAULT_ENGINE if engine is None else engine
-    if name not in _ENGINES:
-        raise ValueError(
-            f"unknown neighborhood engine {name!r}; expected one of "
-            f"{tuple(_ENGINES)}"
-        )
-    return name
-
-
-@contextmanager
-def using_engine(engine: Optional[str]):
-    """Temporarily set :data:`DEFAULT_ENGINE` (validated), restoring the
-    previous default on exit -- how ``engine=`` threads through layers
-    that never call ``hill_climb``/``anneal`` directly (strategies,
-    ``solve_batch``, the daemon).  ``None`` is a no-op."""
-    global DEFAULT_ENGINE
-    if engine is None:
-        yield
-        return
-    previous = DEFAULT_ENGINE
-    DEFAULT_ENGINE = _resolve_engine(engine)
-    try:
-        yield
-    finally:
-        DEFAULT_ENGINE = previous
-
-
-def _clamp_speed(problem: ProblemInstance, proc: int, speed: float) -> float:
-    """The processor's own mode closest to ``speed`` from above (or its
-    fastest mode) -- delegates to the kernel's
-    :func:`~repro.kernel.neighborhood.clamp_speed`, the single source of
-    truth shared with the batched generator."""
-    return clamp_speed(problem.platform, proc, speed)
-
 
 def neighbors(
     problem: ProblemInstance, mapping: Mapping
 ) -> Iterator[Mapping]:
-    """Yield all neighbors of a valid mapping (all of them valid)."""
-    assignments = list(mapping.assignments)
-    used = set(mapping.enrolled_processors)
-    free = [
-        u for u in range(problem.platform.n_processors) if u not in used
-    ]
-    interval_rule = problem.rule is MappingRule.INTERVAL
-
-    # mode moves
-    for idx, x in enumerate(assignments):
-        speeds = problem.platform.processor(x.proc).speeds
-        pos = min(
-            range(len(speeds)), key=lambda i: abs(speeds[i] - x.speed)
-        )
-        for new_pos in (pos - 1, pos + 1):
-            if 0 <= new_pos < len(speeds):
-                yield Mapping.from_assignments(
-                    assignments[:idx]
-                    + [
-                        Assignment(
-                            app=x.app,
-                            interval=x.interval,
-                            proc=x.proc,
-                            speed=speeds[new_pos],
-                        )
-                    ]
-                    + assignments[idx + 1 :]
-                )
-
-    # swap moves
-    for i in range(len(assignments)):
-        for j in range(i + 1, len(assignments)):
-            a, b = assignments[i], assignments[j]
-            new_a = Assignment(
-                app=a.app,
-                interval=a.interval,
-                proc=b.proc,
-                speed=_clamp_speed(problem, b.proc, a.speed),
-            )
-            new_b = Assignment(
-                app=b.app,
-                interval=b.interval,
-                proc=a.proc,
-                speed=_clamp_speed(problem, a.proc, b.speed),
-            )
-            rest = [
-                x for k, x in enumerate(assignments) if k not in (i, j)
-            ]
-            yield Mapping.from_assignments(rest + [new_a, new_b])
-
-    # move-to-free moves
-    for idx, x in enumerate(assignments):
-        for u in free:
-            yield Mapping.from_assignments(
-                assignments[:idx]
-                + [
-                    Assignment(
-                        app=x.app,
-                        interval=x.interval,
-                        proc=u,
-                        speed=_clamp_speed(problem, u, x.speed),
-                    )
-                ]
-                + assignments[idx + 1 :]
-            )
-
-    if not interval_rule:
-        return
-
-    # shift / merge moves over adjacent interval pairs
-    for a_idx in mapping.applications:
-        parts = mapping.for_app(a_idx)
-        for j in range(len(parts) - 1):
-            left, right = parts[j], parts[j + 1]
-            rest = [
-                x
-                for x in assignments
-                if x not in (left, right)
-            ]
-            # shift boundary left/right
-            l_lo, l_hi = left.interval
-            r_lo, r_hi = right.interval
-            if l_lo < l_hi:  # give left's last stage to right
-                yield Mapping.from_assignments(
-                    rest
-                    + [
-                        Assignment(
-                            app=a_idx,
-                            interval=(l_lo, l_hi - 1),
-                            proc=left.proc,
-                            speed=left.speed,
-                        ),
-                        Assignment(
-                            app=a_idx,
-                            interval=(l_hi, r_hi),
-                            proc=right.proc,
-                            speed=right.speed,
-                        ),
-                    ]
-                )
-            if r_lo < r_hi:  # give right's first stage to left
-                yield Mapping.from_assignments(
-                    rest
-                    + [
-                        Assignment(
-                            app=a_idx,
-                            interval=(l_lo, r_lo),
-                            proc=left.proc,
-                            speed=left.speed,
-                        ),
-                        Assignment(
-                            app=a_idx,
-                            interval=(r_lo + 1, r_hi),
-                            proc=right.proc,
-                            speed=right.speed,
-                        ),
-                    ]
-                )
-            # merge onto the left processor
-            yield Mapping.from_assignments(
-                rest
-                + [
-                    Assignment(
-                        app=a_idx,
-                        interval=(l_lo, r_hi),
-                        proc=left.proc,
-                        speed=left.speed,
-                    )
-                ]
-            )
-
-    # split moves
-    for idx, x in enumerate(assignments):
-        lo, hi = x.interval
-        if lo == hi or not free:
-            continue
-        rest = assignments[:idx] + assignments[idx + 1 :]
-        for cut in range(lo, hi):
-            for u in free:
-                yield Mapping.from_assignments(
-                    rest
-                    + [
-                        Assignment(
-                            app=x.app,
-                            interval=(lo, cut),
-                            proc=x.proc,
-                            speed=x.speed,
-                        ),
-                        Assignment(
-                            app=x.app,
-                            interval=(cut + 1, hi),
-                            proc=u,
-                            speed=problem.platform.processor(u).max_speed,
-                        ),
-                    ]
-                )
+    """Yield all neighbors of a valid mapping (all of them valid), one
+    materialized :func:`~repro.kernel.generate_neighborhood` candidate
+    at a time, in the batch's order."""
+    batch = generate_neighborhood(problem, mapping)
+    for i in range(len(batch)):
+        yield batch.materialize(i)
 
 
 def score(
@@ -443,24 +208,13 @@ def hill_climb(
     max_iterations: int = 10_000,
     context=None,
     budget=None,
-    engine: Optional[str] = None,
 ) -> Solution:
     """Best-improvement descent from ``start`` over :func:`neighbors`.
 
-    With the default ``"batched"`` engine each step generates the whole
-    neighborhood as stacked column arrays, scores it in one vectorized
-    kernel call and materializes only the accepted candidate; the
-    ``"compiled"`` engine fuses that whole step into one Numba kernel
-    call (falling back to batched, with a once-per-process warning, when
-    Numba is absent or the shape unsupported); the ``"scalar"`` engine
-    walks the same neighborhood one ``Mapping`` at a time through
-    incremental delta-evaluation.  All registered engines
-    (:func:`engine_names`) visit candidates in the same order with the
-    same tie-breaking and return byte-identical solutions, except under
-    a wall-clock ``time_limit`` hit mid-scan, where the per-batch
-    deadline check of the batched/compiled engines may let them finish
-    (and act on) one neighborhood scan the scalar engine would have
-    abandoned.
+    Each step generates the whole neighborhood as stacked column arrays,
+    scores it in one vectorized kernel call and materializes only the
+    accepted candidate: the best-scoring one, ties going to the earliest
+    (a candidate must beat the running best by more than 1e-15).
 
     ``context`` optionally shares a prebuilt
     :class:`repro.kernel.EvaluationContext`.  ``budget`` optionally passes
@@ -468,210 +222,48 @@ def hill_climb(
     charged one evaluation per scored neighbor -- a batch of ``N``
     candidates counts as ``N`` evaluations, truncated to the evaluations
     remaining under the cap; on exhaustion the best mapping found so far
-    is returned.  ``engine=None`` uses the module default
-    (:data:`DEFAULT_ENGINE`).  Returns the local optimum reached
-    (``optimal=False``).
+    is returned.  Returns the local optimum reached (``optimal=False``).
     """
-    name = _resolve_engine(engine)
-    with _collect_spans("solve.hill_climb", engine=name):
-        return _ENGINES[name](
-            problem,
-            start,
-            criterion,
-            thresholds,
-            max_iterations=max_iterations,
-            context=context,
-            budget=budget,
-        )
-
-
-def _hill_climb_batched(
-    problem: ProblemInstance,
-    start: Mapping,
-    criterion: Criterion,
-    thresholds: Thresholds = Thresholds(),
-    *,
-    max_iterations: int = 10_000,
-    context=None,
-    budget=None,
-) -> Solution:
-    """The default array-native engine of :func:`hill_climb`: the whole
-    neighborhood generated and scored as stacked column arrays, only the
-    accepted candidate materialized."""
-    ctx = problem.evaluation_context(context)
-    current = start
-    current_values = ctx.evaluate(current)
-    current_score = score_values(current_values, criterion, thresholds)
-    n_steps = 0
-    exhausted = False
-    for _ in range(max_iterations):
-        batch = generate_neighborhood(problem, current)
-        n_candidates = len(batch)
-        granted = (
-            n_candidates
-            if budget is None
-            else budget.reserve(n_candidates)
-        )
-        if granted < n_candidates:
-            exhausted = True
-        if granted == 0:
-            break
-        scan = batch.truncate(granted)
-        values = ctx.evaluate_many(scan)
-        scores = score_many(values, criterion, thresholds)
-        # Replay the scalar engine's sequential best-improvement rule
-        # (first strict improvement by more than 1e-15 wins ties) over
-        # the score vector, so the accepted candidate is identical.
-        with _track("solve.accept"):
-            best_index: Optional[int] = None
-            best_score = current_score
-            for i, s in enumerate(scores.tolist()):
-                if s < best_score - 1e-15:
-                    best_score = s
-                    best_index = i
-            if best_index is not None:
-                current = scan.materialize(best_index)
-                current_values = values.select(best_index)
-                current_score = best_score
-        if best_index is None:
-            break
-        n_steps += 1
-        if exhausted:
-            break
-    return _solution(
-        current, current_values, current_score, criterion, n_steps, exhausted
-    )
-
-
-def _hill_climb_scalar(
-    problem: ProblemInstance,
-    start: Mapping,
-    criterion: Criterion,
-    thresholds: Thresholds = Thresholds(),
-    *,
-    max_iterations: int = 10_000,
-    context=None,
-    budget=None,
-) -> Solution:
-    """The reference scalar engine of :func:`hill_climb`: one candidate
-    ``Mapping`` at a time, scored through incremental
-    :meth:`~repro.kernel.EvaluationContext.delta_evaluate`, the budget
-    ticked once per scored neighbor."""
-    ctx = problem.evaluation_context(context)
-    current = start
-    current_values = ctx.evaluate(current)
-    current_score = score_values(current_values, criterion, thresholds)
-    n_steps = 0
-    exhausted = False
-    for _ in range(max_iterations):
-        best_neighbor: Optional[Mapping] = None
-        best_values = None
-        best_score = current_score
-        # The scalar engine interleaves generation with incremental
-        # evaluation (lazy ``neighbors``), so the whole scan is tracked
-        # as one fused "solve.evaluate" phase.
-        with _track("solve.evaluate"):
-            for candidate in neighbors(problem, current):
-                if budget is not None and not budget.tick():
-                    exhausted = True
-                    break
-                values = ctx.delta_evaluate(
-                    candidate, current, current_values
-                )
-                s = score_values(values, criterion, thresholds)
-                if s < best_score - 1e-15:
-                    best_score = s
-                    best_neighbor = candidate
-                    best_values = values
-        if best_neighbor is None:
-            break
-        with _track("solve.accept"):
-            current = best_neighbor
-            current_values = best_values
-            current_score = best_score
-        n_steps += 1
-        if exhausted:
-            break
-    return _solution(
-        current, current_values, current_score, criterion, n_steps, exhausted
-    )
-
-
-def _hill_climb_compiled(
-    problem: ProblemInstance,
-    start: Mapping,
-    criterion: Criterion,
-    thresholds: Thresholds = Thresholds(),
-    *,
-    max_iterations: int = 10_000,
-    context=None,
-    budget=None,
-) -> Solution:
-    """The fused-kernel engine of :func:`hill_climb`: counting,
-    generation, evaluation, scoring and the accept replay of each step
-    run inside one :mod:`repro.kernel.compiled` nopython call; Python is
-    re-entered only between steps (budget accounting, state swap) and at
-    the end (materializing the final mapping).  Falls back to the
-    batched engine -- with a once-per-process warning -- when Numba is
-    absent or :func:`repro.kernel.compiled.support_reason` rejects the
-    problem shape."""
-    from ...kernel import compiled
-
-    plan, _reason = compiled.acquire(problem, context)
-    if plan is None:
-        return _hill_climb_batched(
-            problem,
-            start,
-            criterion,
-            thresholds,
-            max_iterations=max_iterations,
-            context=context,
-            budget=budget,
-        )
-    ctx = problem.evaluation_context(context)
-    current_values = ctx.evaluate(start)
-    current_score = score_values(current_values, criterion, thresholds)
-    crit = plan.criteria_arrays(criterion, thresholds)
-    state = plan.state_from(start)
-    n_steps = 0
-    exhausted = False
-    for _ in range(max_iterations):
-        with _track("solve.neighborhood"):
-            free = plan.free_procs(state)
-            n_candidates = plan.count(state, free)
-        granted = (
-            n_candidates
-            if budget is None
-            else budget.reserve(n_candidates)
-        )
-        if granted < n_candidates:
-            exhausted = True
-        if granted == 0:
-            break
-        # The fused nopython call: generation + evaluation + scoring +
-        # accept replay for one whole descent step.
-        with _track("solve.kernel"):
-            best_index, best_score = plan.best_step(
-                state, free, crit, current_score, granted
-            )
-        if best_index < 0:
-            break
-        with _track("solve.accept"):
-            state = plan.take(state, free, best_index)
-        current_score = best_score
-        n_steps += 1
-        if exhausted:
-            break
-    if n_steps:
-        current = plan.materialize(state)
-        current_values = ctx.evaluate(current)
-    else:
+    with _collect_spans("solve.hill_climb"):
+        ctx = problem.evaluation_context(context)
         current = start
-    return _solution(
-        current, current_values, current_score, criterion, n_steps, exhausted
-    )
-
-
-_ENGINES["batched"] = _hill_climb_batched
-_ENGINES["scalar"] = _hill_climb_scalar
-_ENGINES["compiled"] = _hill_climb_compiled
+        current_values = ctx.evaluate(current)
+        current_score = score_values(current_values, criterion, thresholds)
+        n_steps = 0
+        exhausted = False
+        for _ in range(max_iterations):
+            batch = generate_neighborhood(problem, current)
+            n_candidates = len(batch)
+            granted = (
+                n_candidates
+                if budget is None
+                else budget.reserve(n_candidates)
+            )
+            if granted < n_candidates:
+                exhausted = True
+            if granted == 0:
+                break
+            scan = batch.truncate(granted)
+            values = ctx.evaluate_many(scan)
+            scores = score_many(values, criterion, thresholds)
+            # Sequential best-improvement over the score vector: the first
+            # strict improvement by more than 1e-15 wins ties.
+            with _track("solve.accept"):
+                best_index: Optional[int] = None
+                best_score = current_score
+                for i, s in enumerate(scores.tolist()):
+                    if s < best_score - 1e-15:
+                        best_score = s
+                        best_index = i
+                if best_index is not None:
+                    current = scan.materialize(best_index)
+                    current_values = values.select(best_index)
+                    current_score = best_score
+            if best_index is None:
+                break
+            n_steps += 1
+            if exhausted:
+                break
+        return _solution(
+            current, current_values, current_score, criterion, n_steps, exhausted
+        )

@@ -54,15 +54,6 @@ from .core.types import (
 )
 
 
-def _engine_choices() -> List[str]:
-    """Registered neighborhood engines, for ``--engine`` flags
-    (imported lazily: parser construction must stay cheap enough for
-    ``--help``)."""
-    from .algorithms.heuristics.local_search import engine_names
-
-    return list(engine_names())
-
-
 def _cmd_demo_example(args: argparse.Namespace) -> int:
     from .core.evaluation import evaluate
     from .paper import (
@@ -428,18 +419,6 @@ def _cmd_strategies_list(args: argparse.Namespace) -> int:
         "portfolio(a,b,...) and fallback(a,b,...), e.g. "
         "--strategy 'portfolio(greedy,local_search,annealing)'"
     )
-    from .algorithms.heuristics.local_search import engine_info
-
-    info = engine_info()
-    numba = (
-        f"numba {info['numba']}"
-        if info["numba"]
-        else "numba not installed; 'compiled' falls back to 'batched'"
-    )
-    print(
-        f"neighborhood engines: {', '.join(info['engines'])} "
-        f"(default: {info['default']}; {numba})"
-    )
     return 0
 
 
@@ -478,7 +457,6 @@ def _cmd_solve_batch(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         budget=_budget_from_args(args),
         transport=args.transport,
-        engine=args.engine,
     )
     rows = []
     cells = set()
@@ -706,7 +684,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue_depth,
         transport=args.transport,
         shard=args.shard_name,
-        engine=args.engine,
         slow_solve_threshold=args.slow_solve_threshold,
     )
     return 0
@@ -1131,14 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(ignored without --workers)",
     )
     batch.add_argument(
-        "--engine",
-        choices=_engine_choices(),
-        default=None,
-        help="neighborhood engine for the local-search heuristics "
-        "(compiled = Numba JIT kernels, falling back to batched when "
-        "numba is absent; default: the library default)",
-    )
-    batch.add_argument(
         "--quiet",
         action="store_true",
         help="only print the summary, not the per-instance table",
@@ -1352,14 +1321,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard identity of this daemon in a routed fleet "
         "(surfaced in /v1/metrics and /v1/healthz)",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=_engine_choices(),
-        default=None,
-        help="daemon-default neighborhood engine for the local-search "
-        "heuristics (job solver specs that pin their own engine win; "
-        "surfaced in /v1/healthz)",
     )
     serve.add_argument(
         "--slow-solve-threshold",

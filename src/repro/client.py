@@ -483,7 +483,6 @@ class SolveClient:
         method: Optional[str] = None,
         strategy: Optional[str] = None,
         budget: Union[SolveBudget, Dict[str, Any], None] = None,
-        engine: Optional[str] = None,
         points: Optional[int] = None,
         priority: int = 0,
     ) -> Dict[str, Any]:
@@ -491,8 +490,8 @@ class SolveClient:
         (``POST /v1/fronts``); returns the front view (``"id"``,
         ``"state"``, ``"front"``, ``"hypervolume"``, ...).
 
-        The optional solver template (``method``/``strategy``/``budget``/
-        ``engine``) applies to every sweep cell; by default the daemon
+        The optional solver template (``method``/``strategy``/``budget``)
+        applies to every sweep cell; by default the daemon
         picks the per-cell dispatch that keeps the finished merge
         byte-identical to the offline exact front.  ``points`` caps the
         number of sweep cells.
@@ -506,8 +505,6 @@ class SolveClient:
             solver["budget"] = (
                 budget.to_dict() if isinstance(budget, SolveBudget) else budget
             )
-        if engine is not None:
-            solver["engine"] = engine
         payload: Dict[str, Any] = {"problem": problem_to_dict(problem)}
         if solver:
             payload["solver"] = solver

@@ -247,7 +247,6 @@ def run_campaign(
                 thresholds=solver.thresholds(),
                 strategy=solver.strategy,
                 budget=solver.budget,
-                engine=solver.engine,
             )
             effective_workers = max(effective_workers, batch.workers)
             for item in batch.items:

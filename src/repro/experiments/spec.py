@@ -325,13 +325,6 @@ class SolverSpec:
         Optional thresholds on the non-optimized criteria; the energy
         objective requires ``max_period`` (the paper's "server
         problem").
-    engine:
-        Optional neighborhood engine for the local-search heuristics
-        (any name from
-        :func:`repro.algorithms.heuristics.local_search.engine_names`,
-        e.g. ``"compiled"``).  ``None`` (the default) keeps the process
-        default and is omitted from :meth:`to_dict`, so existing cache
-        digests are unchanged unless an engine is explicitly pinned.
     """
 
     name: str
@@ -342,7 +335,6 @@ class SolverSpec:
     max_period: Optional[float] = None
     max_latency: Optional[float] = None
     max_energy: Optional[float] = None
-    engine: Optional[str] = None
 
     _KEYS = (
         "name",
@@ -353,7 +345,6 @@ class SolverSpec:
         "max_period",
         "max_latency",
         "max_energy",
-        "engine",
     )
 
     @classmethod
@@ -431,22 +422,12 @@ class SolverSpec:
                 f"solver {name!r}: the energy objective requires 'max_period' "
                 "(energy is only meaningful under a period bound)"
             )
-        engine = payload.get("engine")
-        if engine is not None:
-            from ..algorithms.heuristics.local_search import engine_names
-
-            if engine not in engine_names():
-                raise CampaignSpecError(
-                    f"solver {name!r}: unknown engine {engine!r}; "
-                    f"expected one of {list(engine_names())}"
-                )
         return cls(
             name=name,
             objective=objective,
             method=method,
             strategy=strategy,
             budget=budget,
-            engine=engine,
             **bounds,
         )
 
@@ -468,10 +449,6 @@ class SolverSpec:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
-        # Emitted only when explicitly pinned: a campaign that never
-        # names an engine keeps its pre-existing cache digests.
-        if self.engine is not None:
-            out["engine"] = self.engine
         return out
 
     def thresholds(self) -> Optional[Thresholds]:

@@ -17,23 +17,18 @@ as a data-parallel *cost-model kernel*:
 * :mod:`repro.kernel.neighborhood` -- the array-native neighborhood
   engine: the whole local-search move set of a mapping generated as one
   :class:`CandidateBatch` of column arrays (scored wholesale by
-  ``evaluate_many``), in the scalar generator's enumeration order, and
+  ``evaluate_many``), and
   :func:`split_candidates`, the split moves alone (one round of the
   split-the-bottleneck greedy);
 * :mod:`repro.kernel.vectorized` -- whole-table builders (interval
   cycle-time matrices, latency segment costs, cheapest-feasible-mode energy
-  tables) consumed by the dynamic-programming solvers;
-* :mod:`repro.kernel.compiled` -- the optional Numba ``@njit`` backend
-  fusing neighborhood generation, evaluation, scoring and the accept
-  replay into one nopython call per hill-climb step, with graceful
-  fallback to the batched path when Numba is absent.
+  tables) consumed by the dynamic-programming solvers.
 
 The scalar reference implementations live in :mod:`repro.core.evaluation`
 (``evaluate_scalar`` and friends); property tests assert the two paths
 agree to within 1e-9 relative tolerance on random instances.
 """
 
-from . import compiled
 from .context import BatchCriteria, EvaluationContext, attach_kernel_arrays
 from .neighborhood import (
     CandidateBatch,
@@ -50,7 +45,6 @@ from .vectorized import (
 __all__ = [
     "BatchCriteria",
     "CandidateBatch",
-    "compiled",
     "EvaluationContext",
     "attach_kernel_arrays",
     "generate_neighborhood",

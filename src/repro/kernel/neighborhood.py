@@ -1,29 +1,29 @@
 """Array-native neighborhood generation: candidate mappings as columns.
 
-The local-search neighborhood of
-:func:`repro.algorithms.heuristics.local_search.neighbors` materializes
-one :class:`~repro.core.mapping.Mapping` (a tuple of frozen dataclass
-rows, re-sorted on construction) per candidate -- thousands of Python
-objects per hill-climbing step, each paying a full ``delta_evaluate``
-call.  This module generates the *same* neighborhood, in the *same*
-enumeration order, as a :class:`CandidateBatch`: compact NumPy column
-arrays (per-assignment application id, interval bounds, processor id and
-speed) with per-candidate row offsets, scored wholesale by
+Materializing one :class:`~repro.core.mapping.Mapping` (a tuple of frozen
+dataclass rows, re-sorted on construction) per local-search candidate
+costs thousands of Python objects per hill-climbing step, each paying a
+full ``delta_evaluate`` call.  This module generates the neighborhood as
+a :class:`CandidateBatch` instead: compact NumPy column arrays
+(per-assignment application id, interval bounds, processor id and speed)
+with per-candidate row offsets, scored wholesale by
 :meth:`repro.kernel.context.EvaluationContext.evaluate_many`.  Only the
 one accepted candidate is ever materialized back into a ``Mapping``.
 
-The six move kinds mirror the scalar generator exactly:
+The six move kinds, in enumeration order:
 
 * ``mode``: one enrolled processor steps to an adjacent speed mode;
 * ``swap``: two assignments exchange processors (speeds re-clamped);
 * ``move``: one assignment relocates to a free processor;
 * ``shift``: one stage crosses the boundary of two adjacent intervals;
-* ``split``: one interval is cut in two, enrolling a free processor;
-* ``merge``: two adjacent intervals fuse onto the first's processor.
+* ``merge``: two adjacent intervals fuse onto the first's processor;
+* ``split``: one interval is cut in two, enrolling a free processor.
 
 ``shift``/``split``/``merge`` are disabled under the one-to-one rule.
-Candidate order is the scalar generator's order, so budget-truncated
-scans and tie-breaking replay bit-identically.
+Candidate order is fixed (``shift`` and ``merge`` interleave per
+adjacent interval pair), so budget-truncated scans and tie-breaking are
+reproducible; the tests check it against a one-``Mapping``-per-candidate
+generator.
 
 :func:`split_candidates` emits the ``split`` block on its own: the
 candidate set of one round of the split-the-bottleneck greedy.
@@ -141,11 +141,6 @@ class CandidateBatch:
 def clamp_speed(platform, proc: int, speed: float) -> float:
     """The processor's own mode closest to ``speed`` from above (or its
     fastest mode) -- the swap/move re-clamping rule.
-
-    The single source of truth for both engines: the scalar generator
-    (:func:`repro.algorithms.heuristics.local_search.neighbors`)
-    delegates here, so the rule cannot drift between the batched and
-    scalar neighborhoods.
     """
     processor = platform.processor(proc)
     if processor.has_speed(speed):
@@ -301,9 +296,8 @@ def generate_neighborhood(problem, mapping: Mapping) -> CandidateBatch:
     Returns
     -------
     CandidateBatch
-        Every candidate of the scalar generator
-        (:func:`repro.algorithms.heuristics.local_search.neighbors`), in
-        the same enumeration order, each one a valid mapping.
+        Every neighbor, in the enumeration order of the module
+        docstring, each one a valid mapping.
     """
     with _track("solve.neighborhood"):
         return _generate_neighborhood(problem, mapping)
@@ -424,7 +418,7 @@ def _generate_neighborhood(problem, mapping: Mapping) -> CandidateBatch:
         return blocks.assemble()
 
     # shift / merge moves over adjacent interval pairs -----------------
-    # These two kinds interleave per pair in the scalar enumeration and
+    # These two kinds interleave per pair in the enumeration and
     # have different row counts (m vs m - 1), so the block is assembled
     # candidate by candidate; the count is at most 3 * (m - A).
     app_l = base_app.tolist()

@@ -220,8 +220,6 @@ def _daemon_to_prometheus(payload: Mapping[str, Any]) -> str:
     info_labels = {"version": str(payload.get("version", ""))}
     if payload.get("shard"):
         info_labels["shard"] = str(payload["shard"])
-    if payload.get("engine"):
-        info_labels["engine"] = str(payload["engine"])
     writer.gauge(
         "%s_build_info" % _PREFIX, 1.0, "daemon build/identity info", info_labels
     )

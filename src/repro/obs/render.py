@@ -64,7 +64,7 @@ def _fmt_ratio(numerator: float, denominator: float) -> str:
 
 def _shard_row(name: str, payload: Mapping[str, Any], up: bool) -> List[str]:
     if not up or "error" in payload:
-        return [name, "DOWN", "-", "-", "-", "-", "-", "-", "-", "-"]
+        return [name, "DOWN", "-", "-", "-", "-", "-", "-", "-"]
     queue = payload.get("queue", {})
     jobs = payload.get("jobs", {})
     hist = (payload.get("histograms") or {}).get("solve_wall_seconds", {})
@@ -72,7 +72,6 @@ def _shard_row(name: str, payload: Mapping[str, Any], up: bool) -> List[str]:
     return [
         name,
         "up",
-        str(payload.get("engine") or "default"),
         "%d/%s" % (
             queue.get("depth", 0),
             queue.get("max_depth") if queue.get("max_depth") is not None else "inf",
@@ -87,7 +86,7 @@ def _shard_row(name: str, payload: Mapping[str, Any], up: bool) -> List[str]:
 
 
 _TOP_HEADER = [
-    "SHARD", "STATE", "ENGINE", "QUEUE", "RUN",
+    "SHARD", "STATE", "QUEUE", "RUN",
     "SHED", "HIT", "P50", "P95", "P99",
 ]
 

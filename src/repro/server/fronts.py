@@ -190,7 +190,7 @@ class FrontStore:
         """Plan the sweep and submit every cell.
 
         ``template`` optionally overrides the per-cell solver
-        (strategy/method/budget/engine, the
+        (strategy/method/budget, the
         :func:`~repro.server.protocol.parse_front_payload` shape); by
         default each cell uses the dispatch that keeps the finished front
         byte-identical to the offline exact sweep.  Cells are submitted in

@@ -144,11 +144,21 @@ def _response(
     return head.encode() + body
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # a line past the reader's limit (LimitOverrunError)
+        raise _HttpError(400, "request line or header too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Tuple[str, str, Dict[str, str], bytes]:
-    """Parse one HTTP/1.1 request into (method, target, headers, body)."""
-    request_line = await reader.readline()
+    """Parse one HTTP/1.1 request into (method, target, headers, body).
+
+    Every malformed framing raises ``_HttpError(400)``; a body larger
+    than :data:`MAX_BODY_BYTES` raises ``_HttpError(413)``."""
+    request_line = await _readline(reader)
     if not request_line:
         raise _HttpError(400, "empty request")
     try:
@@ -157,7 +167,7 @@ async def _read_request(
         raise _HttpError(400, "malformed request line") from None
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         if len(headers) > 100:
@@ -167,10 +177,19 @@ async def _read_request(
         except UnicodeDecodeError:
             raise _HttpError(400, "malformed header") from None
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise _HttpError(400, "request body shorter than Content-Length") from None
     return method.upper(), target, headers, body
 
 
@@ -307,21 +326,12 @@ class SolveServer:
             raise _HttpError(405, f"method {method} not allowed here")
 
     def _healthz(self) -> Dict[str, Any]:
-        from ..algorithms.heuristics.local_search import engine_info
-
-        info = engine_info()
         return {
             "status": "ok",
             "version": __version__,
             "shard": self.service.shard,
             "uptime_s": self.service.uptime,
             "concurrency": self.service.concurrency,
-            # Active neighborhood engine: the daemon-level override when
-            # set, otherwise the library default.
-            "engine": self.service.engine or info["default"],
-            "engines": info["engines"],
-            "compiled_available": info["compiled_available"],
-            "numba": info["numba"],
         }
 
     def _job(self, job_id: str):

@@ -90,7 +90,7 @@ def parse_job_payload(
 
 #: Solver keys a front submission may set: the sweep owns the objective
 #: and the period threshold, so neither may appear in the template.
-_FRONT_SOLVER_KEYS = ("name", "strategy", "method", "budget", "engine")
+_FRONT_SOLVER_KEYS = ("name", "strategy", "method", "budget")
 
 
 def parse_front_payload(
@@ -100,7 +100,7 @@ def parse_front_payload(
     ``(problem, solver_template, max_points, priority)``.
 
     The solver template is a *partial* solver configuration applied to
-    every sweep cell (strategy/method/budget/engine); the front engine
+    every sweep cell (strategy/method/budget); the front engine
     fills in ``objective="energy"`` and the per-cell ``max_period``, so a
     template carrying either of those — or any other job-payload key —
     is rejected.
@@ -136,8 +136,8 @@ def parse_front_payload(
         )
     template = dict(template)
     template.setdefault("name", DEFAULT_SOLVER_NAME)
-    # Validate strategy/method/budget/engine by building a probe spec on
-    # a placeholder threshold; the engine re-builds per cell.
+    # Validate strategy/method/budget by building a probe spec on a
+    # placeholder threshold; the front engine re-builds per cell.
     try:
         SolverSpec.from_dict(
             {**template, "objective": "energy", "max_period": 1.0}

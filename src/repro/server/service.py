@@ -94,7 +94,6 @@ def solve_cell(
     problem: ProblemInstance,
     solver: SolverSpec,
     transport: str = "auto",
-    engine: Optional[str] = None,
     trace_id: Optional[str] = None,
     parent_id: Optional[str] = None,
 ):
@@ -106,8 +105,7 @@ def solve_cell(
     wall-clock and telemetry.  ``transport`` is threaded through to
     :func:`repro.service.solve_batch` (it only engages when a runner
     fans a cell out over workers; single-instance cells solve inline).
-    ``engine`` is the daemon-level default neighborhood engine; a
-    solver spec that pins its own ``engine`` wins.  ``trace_id`` /
+    ``trace_id`` /
     ``parent_id`` re-establish the submission's trace context in the
     executor process; the recorded solver-phase spans ride back to the
     daemon on the returned item (``BatchItem.spans``).
@@ -122,7 +120,6 @@ def solve_cell(
             budget=solver.budget,
             workers=None,
             transport=transport,
-            engine=solver.engine if solver.engine is not None else engine,
         )
     return batch.items[0]
 
@@ -228,14 +225,6 @@ class SolveService:
         :meth:`metrics` and ``/v1/healthz`` so the router and operators
         can attribute fleet-wide counters to the daemon that produced
         them; ``None`` for a standalone daemon.
-    engine:
-        Daemon-level default neighborhood engine for the local-search
-        heuristics (``repro-pipelines serve --engine``), any name from
-        :func:`repro.algorithms.heuristics.local_search.engine_names`;
-        a solver spec that pins its own ``engine`` overrides it per
-        job.  ``None`` keeps the library default.  Surfaced in
-        :meth:`metrics` and ``/v1/healthz``.  Ignored for custom
-        runners.
     slow_solve_threshold:
         Seconds; a solved cell whose wall time exceeds it gets its span
         tree dumped to stderr (``repro-pipelines serve
@@ -257,7 +246,6 @@ class SolveService:
         max_queue_depth: Optional[int] = None,
         transport: str = "auto",
         shard: Optional[str] = None,
-        engine: Optional[str] = None,
         slow_solve_threshold: Optional[float] = None,
     ) -> None:
         if concurrency < 1:
@@ -266,10 +254,6 @@ class SolveService:
             raise ValueError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
             )
-        if engine is not None:
-            from ..algorithms.heuristics.local_search import _resolve_engine
-
-            engine = _resolve_engine(engine)  # fail fast on unknown names
         if isinstance(cache, (str, Path)):
             cache = ResultsCache(cache)
         self.cache = cache if cache is not None else MemoryCache()
@@ -277,14 +261,13 @@ class SolveService:
         self.max_queue_depth = max_queue_depth
         self.transport = transport
         self.shard = shard
-        self.engine = engine
         self._executor, self._owns_executor = _make_executor(
             executor, concurrency
         )
         self._runner = (
             runner
             if runner is not None
-            else functools.partial(solve_cell, transport=transport, engine=engine)
+            else functools.partial(solve_cell, transport=transport)
         )
         # Custom runners (test stubs included) usually take a bare
         # ``(problem, solver)``; only pass the trace context through
@@ -637,7 +620,6 @@ class SolveService:
                 "shed": self._counters["shed"],
             },
             "transport": self.transport,
-            "engine": self.engine,
             "jobs": dict(self._counters),
             "jobs_in_flight": self.jobs_in_flight,
             "solver": {

@@ -51,7 +51,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..algorithms.heuristics import local_search as _local_search
+# Imported eagerly, though only the strategies call into it: pool workers
+# are forked per batch and inherit the loaded solvers instead of each
+# importing them on its first solve (about 45 ms per worker on a 2-vCPU
+# x86-64 host).
+from .. import algorithms  # noqa: F401
 from ..core.exceptions import InfeasibleProblemError
 from ..core.objectives import Thresholds
 from ..core.problem import ProblemInstance, Solution
@@ -92,7 +96,6 @@ def solve_one(
     *,
     strategy: Optional[StrategyLike] = None,
     budget: Optional[SolveBudget] = None,
-    engine: Optional[str] = None,
 ) -> Solution:
     """Solve a single instance.
 
@@ -121,12 +124,6 @@ def solve_one(
     budget:
         Per-solve :class:`~repro.strategies.SolveBudget` enforced
         cooperatively inside the heuristic/exact loops.
-    engine:
-        Neighborhood engine for the local-search heuristics inside the
-        solve (any name from
-        :func:`repro.algorithms.heuristics.local_search.engine_names`);
-        ``None`` keeps the process default.  Applied as the
-        process-default engine for the duration of the call.
 
     Returns
     -------
@@ -148,14 +145,13 @@ def solve_one(
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {_OBJECTIVES}"
         )
-    with _local_search.using_engine(engine):
-        if strategy is not None:
-            result = parse_strategy(strategy).run(
-                problem, objective, thresholds=thresholds, budget=budget
-            )
-            return result.raise_for_status()
-        meter = budget.meter() if budget is not None else None
-        return solve_via_method(problem, objective, method, thresholds, meter)
+    if strategy is not None:
+        result = parse_strategy(strategy).run(
+            problem, objective, thresholds=thresholds, budget=budget
+        )
+        return result.raise_for_status()
+    meter = budget.meter() if budget is not None else None
+    return solve_via_method(problem, objective, method, thresholds, meter)
 
 
 @dataclass(frozen=True)
@@ -241,12 +237,7 @@ _WORKER_CONFIG: Dict[str, object] = {}
 def _init_worker(config: Dict[str, object]) -> None:
     """Pool initializer: install the shared solve configuration and,
     when all jobs target one instance, prebuild its evaluation context
-    so every solve in this worker starts from warm kernel tables.
-
-    A requested neighborhood ``engine`` becomes this worker process's
-    default; for ``"compiled"`` the JIT warmup (and, with a shared
-    instance, the plan build) happens here, in the initializer, so the
-    first solve never pays the compile latency."""
+    so every solve in this worker starts from warm kernel tables."""
     _WORKER_CONFIG.clear()
     _WORKER_CONFIG.update(config)
     trace = config.get("trace")
@@ -254,19 +245,9 @@ def _init_worker(config: Dict[str, object]) -> None:
         # The whole worker lifetime belongs to this batch's trace; spans
         # recorded here are drained back to the parent on each item.
         _spans.set_ambient_trace(trace[0], trace[1])
-    engine = config.get("engine")
-    if engine is not None:
-        _local_search.DEFAULT_ENGINE = _local_search._resolve_engine(engine)
     shared = config.get("problem")
     if shared is not None:
         shared.evaluation_context()
-    if engine == "compiled":
-        from ..kernel import compiled
-
-        if shared is not None:
-            compiled.compile_for(shared)
-        else:
-            compiled.warmup()
 
 
 def _solve_indexed(
@@ -407,7 +388,6 @@ def solve_batch(
     strategy: Optional[StrategyLike] = None,
     budget: Optional[SolveBudget] = None,
     transport: str = "auto",
-    engine: Optional[str] = None,
 ) -> BatchResult:
     """Solve many instances, optionally fanning out over a process pool.
 
@@ -419,15 +399,6 @@ def solve_batch(
     objective / method / thresholds / strategy / budget:
         Per-instance solve parameters, as in :func:`solve_one`.  The
         budget applies *per solve*, not to the whole batch.
-    engine:
-        Neighborhood engine for the local-search heuristics (any name
-        from :func:`repro.algorithms.heuristics.local_search.engine_names`,
-        or ``None`` for the process default).  Sequential batches apply
-        it for the duration of the call; pooled batches install it as
-        each worker's default in the pool initializer, where the
-        ``"compiled"`` engine also performs its JIT warmup (and, for
-        repeat-solve batches, prebuilds the shared instance's plan) so
-        no job pays the compile latency.
     workers:
         ``None`` or ``<= 1`` solves sequentially in-process; ``n >= 2``
         fans out over ``n`` work-stealing worker processes
@@ -459,8 +430,6 @@ def solve_batch(
         )
     if strategy is not None and isinstance(strategy, str):
         parse_strategy(strategy)  # fail fast on a bad spec, pre-pool
-    if engine is not None:
-        _local_search._resolve_engine(engine)  # fail fast, pre-pool
     problems = list(problems)
     # Repeat-solve pattern: one instance solved many times travels to
     # each worker once (initializer) instead of once per job.
@@ -473,13 +442,12 @@ def solve_batch(
     t0 = time.perf_counter()
     extra_stats: Dict[str, float] = {}
     if n_workers <= 1:
-        with _local_search.using_engine(engine):
-            items: List[BatchItem] = [
-                _solve_job(
-                    i, problem, objective, method, thresholds, strategy, budget
-                )
-                for i, problem in enumerate(problems)
-            ]
+        items: List[BatchItem] = [
+            _solve_job(
+                i, problem, objective, method, thresholds, strategy, budget
+            )
+            for i, problem in enumerate(problems)
+        ]
         effective_workers = 1
         effective_transport = "inline"
     else:
@@ -492,7 +460,6 @@ def solve_batch(
             "strategy": strategy,
             "budget": budget,
             "problem": shared,
-            "engine": engine,
             # Trace context crosses the pool inside the per-worker
             # config; workers re-establish it in the initializer.
             "trace": (

@@ -23,6 +23,8 @@ from repro.algorithms.heuristics import (
 )
 from repro.generators import small_random_problem
 
+from .reference_local_search import reference_anneal, reference_hill_climb
+
 HET = PlatformClass.FULLY_HETEROGENEOUS
 
 
@@ -119,61 +121,44 @@ class TestHillClimb:
         assert refined.objective <= 2.0 * exact.objective + 1e-9
 
 
-class TestNeighborhoodEngines:
-    """The batched and compiled engines are drop-ins for the scalar
-    reference (the compiled one runs its real kernels interpreted here,
-    via the pure-Python test hook, so Numba is not required)."""
+class TestOracleParity:
+    """The batched hill climb and annealing are byte-identical to their
+    one-``Mapping``-at-a-time oracles."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_hill_climb_engines_byte_identical(self, seed):
-        from ..kernel.test_neighborhood_property import forced_python_compiled
-
+    def test_hill_climb_matches_oracle(self, seed):
         problem = small_random_problem(
             seed + 70, platform_class=HET, n_modes=2, stage_range=(2, 4)
         )
         start = greedy_interval_period(problem)
         batched = hill_climb(problem, start.mapping, Criterion.PERIOD)
-        with forced_python_compiled():
-            others = {
-                engine: hill_climb(
-                    problem, start.mapping, Criterion.PERIOD, engine=engine
-                )
-                for engine in ("scalar", "compiled")
-            }
-        for other in others.values():
-            assert batched.mapping == other.mapping
-            assert batched.objective == other.objective
-            assert batched.values == other.values
-            assert batched.stats == other.stats
+        oracle = reference_hill_climb(problem, start.mapping, Criterion.PERIOD)
+        assert batched.mapping == oracle.mapping
+        assert batched.objective == oracle.objective
+        assert batched.values == oracle.values
+        assert batched.stats == oracle.stats
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_anneal_engines_byte_identical(self, seed):
-        from ..kernel.test_neighborhood_property import forced_python_compiled
-
+    def test_anneal_matches_oracle(self, seed):
         problem = small_random_problem(
             seed + 80, platform_class=HET, n_modes=2
         )
         start = greedy_interval_period(problem)
-        with forced_python_compiled():
-            runs = {
-                engine: anneal(
-                    problem,
-                    start.mapping,
-                    Criterion.PERIOD,
-                    seed=3,
-                    n_iterations=120,
-                    engine=engine,
-                )
-                for engine in ("batched", "scalar", "compiled")
-            }
-        for engine in ("scalar", "compiled"):
-            assert runs["batched"].mapping == runs[engine].mapping
-            assert runs["batched"].objective == runs[engine].objective
-            assert runs["batched"].stats == runs[engine].stats
+        runs = [
+            solve(
+                problem,
+                start.mapping,
+                Criterion.PERIOD,
+                seed=3,
+                n_iterations=120,
+            )
+            for solve in (anneal, reference_anneal)
+        ]
+        assert runs[0].mapping == runs[1].mapping
+        assert runs[0].objective == runs[1].objective
+        assert runs[0].stats == runs[1].stats
 
-    def test_one_to_one_engines_byte_identical(self):
-        from ..kernel.test_neighborhood_property import forced_python_compiled
-
+    def test_one_to_one_matches_oracle(self):
         problem = small_random_problem(
             90,
             platform_class=HET,
@@ -183,21 +168,9 @@ class TestNeighborhoodEngines:
         )
         start = greedy_one_to_one_period(problem)
         batched = hill_climb(problem, start.mapping, Criterion.PERIOD)
-        with forced_python_compiled():
-            for engine in ("scalar", "compiled"):
-                other = hill_climb(
-                    problem, start.mapping, Criterion.PERIOD, engine=engine
-                )
-                assert batched.mapping == other.mapping
-                assert batched.stats == other.stats
-
-    def test_unknown_engine_rejected(self):
-        problem = small_random_problem(91)
-        start = greedy_interval_period(problem)
-        with pytest.raises(ValueError, match="unknown neighborhood engine"):
-            hill_climb(
-                problem, start.mapping, Criterion.PERIOD, engine="simd"
-            )
+        oracle = reference_hill_climb(problem, start.mapping, Criterion.PERIOD)
+        assert batched.mapping == oracle.mapping
+        assert batched.stats == oracle.stats
 
 
 class TestAnnealing:

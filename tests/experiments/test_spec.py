@@ -12,6 +12,7 @@ from repro.experiments import (
     SolverSpec,
     load_spec,
 )
+from repro.experiments.cache import solver_digest
 
 MINIMAL = {
     "name": "mini",
@@ -212,6 +213,20 @@ class TestStrategyAndBudgetKeys:
             "method": "heuristic",
         }
 
+    def test_engine_omitted_keeps_digest_stable(self):
+        """A solver entry's dict form -- and hence its cache digest -- is
+        the one recorded before the ``engine`` key was removed, so
+        existing caches keep hitting."""
+        solver = self.solver(
+            name="y",
+            strategy="local_search",
+            budget={"max_evaluations": 500, "seed": 0},
+        )
+        assert "engine" not in solver.to_dict()
+        assert solver_digest(solver.to_dict()) == (
+            "b0bac18c19993cff2c9dd4491b7b0fac21c772324630c14950ff178cae166e92"
+        )
+
     def test_campaign_with_strategy_solver(self):
         payload = spec_dict(
             solvers=[
@@ -253,6 +268,23 @@ class TestLoadSpec:
         assert len(spec.grid.platforms) >= 2
         assert len(spec.grid.models) >= 2
         assert len(spec.solvers) >= 2
+
+    def test_stale_engine_key_rejected(self, tmp_path):
+        """``engine`` is no longer a solver key: a campaign that still
+        pins one fails through the unknown-key path."""
+        pytest.importorskip("yaml")
+        path = tmp_path / "spec.yaml"
+        path.write_text(
+            "name: stale\n"
+            "scenarios:\n"
+            "  platforms: [fully-homogeneous]\n"
+            "solvers:\n"
+            "  - name: climb\n"
+            "    strategy: local_search\n"
+            "    engine: compiled\n"
+        )
+        with pytest.raises(CampaignSpecError, match=r"unknown key\(s\) \['engine'\]"):
+            load_spec(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CampaignSpecError, match="not found"):

@@ -1,27 +1,24 @@
 """Property tests: the array-native neighborhood engine is equivalent to
-the scalar generator + delta-evaluation path.
+the one-``Mapping``-at-a-time oracles of
+:mod:`tests.algorithms.reference_local_search`.
 
-The contract of ``repro.kernel.neighborhood`` + ``evaluate_many``: for
-every valid mapping, under both mapping rules, both communication models
-and every platform class,
+For every valid mapping, under both mapping rules, both communication
+models and every platform class,
 
 * :func:`~repro.kernel.generate_neighborhood` enumerates exactly the
-  candidates of :func:`repro.algorithms.heuristics.neighbors`, in the
-  same order (candidate ``i`` materializes to the ``i``-th scalar
-  neighbor);
+  candidates of :func:`.reference_neighbors`, in the same order
+  (candidate ``i`` materializes to the ``i``-th oracle neighbor), and
+  :func:`repro.algorithms.heuristics.neighbors` yields that same list;
 * :meth:`~repro.kernel.EvaluationContext.evaluate_many` over the batch
   is element-wise equal (within 1e-9 -- in fact bit-identical) to
   per-neighbor ``delta_evaluate``;
 * :func:`~repro.algorithms.heuristics.local_search.score_many` matches
   per-candidate ``score_values``;
-* all three :func:`~repro.algorithms.heuristics.hill_climb` engines
-  return identical solutions (the ``"compiled"`` engine runs its real
-  kernel code here through the pure-Python test hook
-  ``repro.kernel.compiled._FORCE_PYTHON_ENGINE``, so the equivalence is
-  asserted even where Numba is not installed).
+* :func:`~repro.algorithms.heuristics.hill_climb` and
+  :func:`~repro.algorithms.heuristics.anneal` return the oracles'
+  solutions and leave the budget meter in the same state, unbudgeted or
+  under an evaluation cap that runs out anywhere, mid-scan included.
 """
-
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -35,13 +32,20 @@ from repro import (
     ProblemInstance,
     Thresholds,
 )
-from repro.algorithms.heuristics import hill_climb, neighbors
+from repro.algorithms.heuristics import anneal, hill_climb, neighbors
 from repro.algorithms.heuristics.local_search import score_many, score_values
-from repro.kernel import compiled, generate_neighborhood
+from repro.kernel import generate_neighborhood
+from repro.strategies import BudgetMeter, SolveBudget
 
+from ..algorithms.reference_local_search import (
+    reference_anneal,
+    reference_hill_climb,
+    reference_neighbors,
+)
 from ..properties.strategies import (
     het_mapped_instances,
     mapped_instances,
+    mapped_problems,
     one_to_one_mapped_instances,
 )
 
@@ -50,24 +54,12 @@ BOTH_MODELS = [CommunicationModel.OVERLAP, CommunicationModel.NO_OVERLAP]
 RTOL = 1e-9
 
 
-@contextmanager
-def forced_python_compiled():
-    """Run the compiled engine's real kernels interpreted (no Numba
-    needed): the plan, decode and accept-replay code under test is the
-    genuine compiled path, minus the JIT."""
-    old = compiled._FORCE_PYTHON_ENGINE
-    compiled._FORCE_PYTHON_ENGINE = True
-    try:
-        yield
-    finally:
-        compiled._FORCE_PYTHON_ENGINE = old
-
-
 def assert_batch_matches_scalar(problem, mapping):
-    """The batched neighborhood scores exactly like the scalar path."""
+    """The batched neighborhood scores exactly like the oracle path."""
     ctx = problem.evaluation_context()
     base_values = ctx.evaluate(mapping)
-    scalar = list(neighbors(problem, mapping))
+    scalar = list(reference_neighbors(problem, mapping))
+    assert list(neighbors(problem, mapping)) == scalar
     batch = generate_neighborhood(problem, mapping)
     assert len(batch) == len(scalar)
     values = ctx.evaluate_many(batch)
@@ -164,31 +156,70 @@ def test_score_many_matches_score_values(instance):
             )
 
 
+#: Evaluation caps: none (drawn as 0), or 1 to 60.  A two-app
+#: neighborhood here holds up to a few dozen candidates, so a cap runs
+#: out mid-way through the first scan, in a later one or never.
+CAPS = st.integers(min_value=0, max_value=60).map(lambda cap: cap or None)
+
+
+def run_metered(solve, cap, *args, **kwargs):
+    """``solve`` under an evaluation cap, with the meter's final state."""
+    meter = (
+        None if cap is None else BudgetMeter(SolveBudget(max_evaluations=cap))
+    )
+    solution = solve(*args, budget=meter, **kwargs)
+    state = (
+        None if meter is None else (meter.n_evaluations, meter.exhausted)
+    )
+    return solution, state
+
+
+def assert_same_solution(got, want):
+    got_solution, got_meter = got
+    want_solution, want_meter = want
+    assert got_solution.mapping == want_solution.mapping
+    assert got_solution.objective == want_solution.objective
+    assert got_solution.values == want_solution.values
+    assert got_solution.stats == want_solution.stats
+    assert got_meter == want_meter
+
+
+@given(mapped_problems(), st.sampled_from(list(Criterion)), CAPS)
+@settings(max_examples=60, deadline=None)
+def test_hill_climb_matches_oracle(instance, criterion, cap):
+    """Every platform class, model and rule, capped or not."""
+    problem, mapping = instance
+    args = (problem, mapping, criterion)
+    assert_same_solution(
+        run_metered(hill_climb, cap, *args, max_iterations=6),
+        run_metered(reference_hill_climb, cap, *args, max_iterations=6),
+    )
+
+
 @given(
-    mapped_instances(max_apps=2, max_stages=3),
-    st.sampled_from([Criterion.PERIOD, Criterion.LATENCY, Criterion.ENERGY]),
+    mapped_problems(),
+    st.sampled_from(list(Criterion)),
+    CAPS,
+    st.integers(min_value=0, max_value=3),
 )
-@settings(max_examples=15, deadline=None)
-def test_hill_climb_engines_identical(instance, criterion):
-    """All three hill-climb engines return identical solutions."""
-    apps, platform, mapping = instance
-    problem = ProblemInstance(apps=apps, platform=platform)
-    with forced_python_compiled():
-        solutions = {
-            engine: hill_climb(
-                problem,
-                mapping,
-                criterion,
-                max_iterations=4,
-                engine=engine,
-            )
-            for engine in ("batched", "scalar", "compiled")
-        }
-    for engine in ("scalar", "compiled"):
-        assert solutions["batched"].mapping == solutions[engine].mapping
-        assert solutions["batched"].objective == solutions[engine].objective
-        assert solutions["batched"].values == solutions[engine].values
-        assert solutions["batched"].stats == solutions[engine].stats
+@settings(max_examples=40, deadline=None)
+def test_anneal_matches_oracle(instance, criterion, cap, seed):
+    """Same proposals from the same seed, capped or not."""
+    problem, mapping = instance
+    args = (problem, mapping, criterion)
+    kwargs = dict(seed=seed, n_iterations=40)
+    assert_same_solution(
+        run_metered(anneal, cap, *args, **kwargs),
+        run_metered(reference_anneal, cap, *args, **kwargs),
+    )
+
+
+@given(mapped_problems())
+@settings(max_examples=40, deadline=None)
+def test_batch_matches_scalar_every_cell(instance):
+    """The neighborhood itself, over every class, model and rule."""
+    problem, mapping = instance
+    assert_batch_matches_scalar(problem, mapping)
 
 
 def test_empty_batch_evaluates_to_empty_vectors(fig1_apps, fig1_platform):

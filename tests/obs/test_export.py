@@ -23,7 +23,6 @@ def _daemon_payload(shard=None):
         "version": "9.9.9",
         "uptime_s": 12.5,
         "shard": shard,
-        "engine": "batched",
         "queue": {
             "depth": 3,
             "running": 2,
@@ -55,7 +54,6 @@ class TestDaemonExposition:
         ((info_labels, info_value),) = families["repro_build_info"]
         assert info_value == 1.0
         assert info_labels["shard"] == "s0"
-        assert info_labels["engine"] == "batched"
 
     def test_histogram_buckets_match_and_inf_equals_count(self):
         payload = _daemon_payload()

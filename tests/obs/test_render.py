@@ -39,7 +39,6 @@ class TestRenderTop:
             {
                 "shard": "s0",
                 "uptime_s": 42.0,
-                "engine": "batched",
                 "queue": {"depth": 1, "max_depth": 8, "running": 2, "shed": 0},
                 "jobs": {"submitted": 10, "completed": 9, "cache_hits": 5},
                 "histograms": {
@@ -54,15 +53,14 @@ class TestRenderTop:
         assert "daemon up 42s" in out
         assert "10 submitted, 9 completed, 0 shed" in out
         row = next(line for line in out.splitlines() if line.startswith("s0"))
-        assert "batched" in row
-        assert "1/8" in row  # queue depth / max depth
+        # name, state, queue depth / max depth
+        assert row.split()[:3] == ["s0", "up", "1/8"]
         assert "50%" in row  # cache hit ratio
 
     def test_router_payload_with_health_list(self):
         daemon = {
             "queue": {"depth": 0, "max_depth": None, "running": 0, "shed": 0},
             "jobs": {"submitted": 2, "completed": 2, "cache_hits": 0},
-            "engine": None,
             "histograms": {},
         }
         out = render_top(

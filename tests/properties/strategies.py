@@ -4,7 +4,16 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro import Application, Assignment, Mapping, Platform
+from repro import (
+    Application,
+    Assignment,
+    CommunicationModel,
+    Mapping,
+    MappingRule,
+    Platform,
+    PlatformClass,
+    ProblemInstance,
+)
 from repro.core import processors_from_speed_sets
 
 #: Bounded positive floats that keep all arithmetic well-conditioned.
@@ -133,7 +142,12 @@ def het_mapped_instances(draw, max_apps: int = 2, max_stages: int = 4):
     partitions = draw(_random_partitions(apps))
     total_intervals = sum(len(p) for p in partitions)
     n_procs = total_intervals + draw(st.integers(0, 2))
+    platform = _het_platform(draw, n_apps, n_procs)
+    return apps, platform, _place(draw, apps, platform, partitions)
 
+
+def _het_platform(draw, n_apps: int, n_procs: int) -> Platform:
+    """A fully heterogeneous platform of ``n_procs`` processors."""
     speed_set_list = [draw(speed_sets()) for _ in range(n_procs)]
     pairs = [(u, v) for u in range(n_procs) for v in range(u + 1, n_procs)]
     links = {
@@ -159,7 +173,7 @@ def het_mapped_instances(draw, max_apps: int = 2, max_stages: int = 4):
         for a in range(n_apps)
         if draw(st.booleans())
     }
-    platform = Platform(
+    return Platform(
         processors=processors_from_speed_sets(speed_set_list),
         default_bandwidth=draw(bandwidths),
         links=links,
@@ -167,4 +181,38 @@ def het_mapped_instances(draw, max_apps: int = 2, max_stages: int = 4):
         out_links=out_links,
         app_bandwidths=app_bandwidths,
     )
-    return apps, platform, _place(draw, apps, platform, partitions)
+
+
+@st.composite
+def mapped_problems(draw, max_apps: int = 2, max_stages: int = 4):
+    """A (problem, valid mapping) pair drawn over every platform class,
+    both communication models and both mapping rules."""
+    rule = draw(st.sampled_from(list(MappingRule)))
+    n_apps = draw(st.integers(min_value=1, max_value=max_apps))
+    apps = tuple(draw(applications(max_stages)) for _ in range(n_apps))
+    if rule is MappingRule.ONE_TO_ONE:
+        partitions = [[(k, k) for k in range(app.n_stages)] for app in apps]
+    else:
+        partitions = draw(_random_partitions(apps))
+    n_procs = sum(len(p) for p in partitions) + draw(st.integers(0, 2))
+    platform_class = draw(st.sampled_from(list(PlatformClass)))
+    if platform_class is PlatformClass.FULLY_HOMOGENEOUS:
+        platform = Platform.fully_homogeneous(
+            n_procs, speeds=draw(speed_sets()), bandwidth=draw(bandwidths)
+        )
+    elif platform_class is PlatformClass.COMM_HOMOGENEOUS:
+        platform = Platform(
+            processors=processors_from_speed_sets(
+                [draw(speed_sets()) for _ in range(n_procs)]
+            ),
+            default_bandwidth=draw(bandwidths),
+        )
+    else:
+        platform = _het_platform(draw, n_apps, n_procs)
+    problem = ProblemInstance(
+        apps=apps,
+        platform=platform,
+        rule=rule,
+        model=draw(st.sampled_from(list(CommunicationModel))),
+    )
+    return problem, _place(draw, apps, platform, partitions)

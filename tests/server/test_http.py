@@ -5,6 +5,7 @@ thread executor), driven with raw ``urllib`` so the routes — not the
 client — are under test.
 """
 
+import asyncio
 import json
 import urllib.error
 import urllib.request
@@ -15,6 +16,7 @@ from repro import __version__
 from repro.generators import small_random_problem
 from repro.io import problem_to_dict
 from repro.server import ServerThread
+from repro.server.http import _HttpError, _read_request
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +219,63 @@ class TestValidation:
         status, body = request(server, "POST", "/v1/jobs", payload)
         assert status == 400
         assert "bogus" in body["error"]
+
+    def test_stale_engine_key_in_job_400(self, server):
+        status, body = request(
+            server,
+            "POST",
+            "/v1/jobs",
+            submission(109, objective="period", engine="compiled"),
+        )
+        assert status == 400
+        assert "'engine'" in body["error"]
+
+    def test_stale_engine_key_in_front_400(self, server):
+        payload = {
+            "problem": problem_to_dict(small_random_problem(110)),
+            "solver": {"engine": "compiled"},
+        }
+        status, body = request(server, "POST", "/v1/fronts", payload)
+        assert status == 400
+        assert "'engine'" in body["error"]
+
+
+def read_raw(raw: bytes):
+    """Run ``_read_request`` over a stream holding exactly ``raw``."""
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await _read_request(reader)
+
+    return asyncio.run(go())
+
+
+class TestRequestFraming:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+            b"GET /v1/healthz HTTP/1.1\r\nX-Big: "
+            + b"a" * 100_000
+            + b"\r\n\r\n",
+            b"",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+        ],
+        ids=[
+            "non-numeric-length",
+            "negative-length",
+            "100kb-header-line",
+            "empty",
+            "truncated-body",
+        ],
+    )
+    def test_malformed_framing_is_400(self, raw):
+        with pytest.raises(_HttpError) as err:
+            read_raw(raw)
+        assert err.value.status == 400
 
 
 class TestStrategySubmissions:

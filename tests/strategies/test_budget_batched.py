@@ -1,15 +1,21 @@
 """Budget accounting for batched scoring: a batch of N candidates counts
-as N evaluations, and batched/scalar modes stop at the same budget."""
+as N evaluations, and the batched search stops at the same budget as its
+one-candidate-at-a-time oracle."""
 
 import time
 
 import pytest
 
 from repro import Criterion, PlatformClass
+from repro.algorithms import heuristics
 from repro.algorithms.heuristics import greedy_interval_period, hill_climb
-from repro.algorithms.heuristics import local_search
 from repro.generators import small_random_problem
 from repro.strategies import BudgetMeter, SolveBudget
+
+from ..algorithms.reference_local_search import (
+    reference_anneal,
+    reference_hill_climb,
+)
 
 HET = PlatformClass.FULLY_HETEROGENEOUS
 
@@ -76,46 +82,41 @@ class TestBatchedScalarBudgetParity:
             11, platform_class=HET, n_modes=2, stage_range=(2, 4)
         )
         start = greedy_interval_period(problem).mapping
-        outcomes = {}
-        for engine in ("batched", "scalar"):
+        outcomes = []
+        for solve in (hill_climb, reference_hill_climb):
             meter = BudgetMeter(SolveBudget(max_evaluations=cap))
-            solution = hill_climb(
-                problem,
-                start,
-                Criterion.PERIOD,
-                budget=meter,
-                engine=engine,
+            solution = solve(problem, start, Criterion.PERIOD, budget=meter)
+            outcomes.append(
+                (
+                    meter.n_evaluations,
+                    meter.exhausted,
+                    solution.mapping,
+                    solution.objective,
+                    solution.stats,
+                )
             )
-            outcomes[engine] = (
-                meter.n_evaluations,
-                meter.exhausted,
-                solution.mapping,
-                solution.objective,
-                solution.stats,
-            )
-        assert outcomes["batched"] == outcomes["scalar"]
+        assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("cap", [60, 400])
     def test_portfolio_stops_at_the_same_budget(self, cap, monkeypatch):
-        """The satellite regression: a portfolio under ``max_evals``
-        consumes the same budget and returns the same objective whether
-        the members score batched or scalar."""
+        """A portfolio under ``max_evals`` consumes the same budget and
+        returns the same objective as the same portfolio whose members
+        climb and anneal with the oracles, from the same greedy start."""
         problem = small_random_problem(
             12, platform_class=HET, n_modes=2, stage_range=(2, 4)
         )
         from repro.service import solve_batch
 
         budget = SolveBudget(max_evaluations=cap, seed=0)
-        results = {}
-        for engine in ("batched", "scalar"):
-            monkeypatch.setattr(local_search, "DEFAULT_ENGINE", engine)
+
+        def run():
             item = solve_batch(
                 [problem],
                 "period",
                 strategy="portfolio(greedy,local_search,annealing)",
                 budget=budget,
             ).items[0]
-            results[engine] = (
+            return (
                 item.objective,
                 item.telemetry.evaluations,
                 item.telemetry.budget_exhausted,
@@ -124,8 +125,12 @@ class TestBatchedScalarBudgetParity:
                     for m in item.telemetry.members
                 ),
             )
-        assert results["batched"] == results["scalar"]
-        assert results["batched"][1] <= cap
+
+        batched = run()
+        monkeypatch.setattr(heuristics, "hill_climb", reference_hill_climb)
+        monkeypatch.setattr(heuristics, "anneal", reference_anneal)
+        assert run() == batched
+        assert batched[1] <= cap
 
     def test_solve_one_heuristic_counts_true_candidates(self):
         """The legacy heuristic path exhausts exactly at the cap with
@@ -133,18 +138,11 @@ class TestBatchedScalarBudgetParity:
         problem = small_random_problem(
             13, platform_class=HET, n_modes=2
         )
-        meter_out = {}
-        for engine in ("batched", "scalar"):
+        meter_out = []
+        for solve in (hill_climb, reference_hill_climb):
             meter = BudgetMeter(SolveBudget(max_evaluations=40))
             start = greedy_interval_period(problem, budget=meter)
-            hill_climb(
-                problem,
-                start.mapping,
-                Criterion.PERIOD,
-                budget=meter,
-                engine=engine,
-            )
-            meter_out[engine] = (meter.n_evaluations, meter.exhausted)
-        assert meter_out["batched"] == meter_out["scalar"]
-        assert meter_out["batched"][0] == 40
-        assert meter_out["batched"][1]
+            solve(problem, start.mapping, Criterion.PERIOD, budget=meter)
+            meter_out.append((meter.n_evaluations, meter.exhausted))
+        assert meter_out[0] == meter_out[1]
+        assert meter_out[0] == (40, True)
