@@ -10,9 +10,11 @@ module replaces it with the classic shared-queue shape:
 * ``n`` plain :class:`multiprocessing.Process` workers pull chunks
   whenever they run dry — stragglers steal nothing from anyone, idle
   workers steal the remaining chunks;
-* results stream back over a shared result queue and are re-ordered by
+* results stream back over one shared result pipe and are re-ordered by
   index in the parent, so the caller-visible ordering is deterministic
-  regardless of which worker solved what.
+  regardless of which worker solved what.  Workers write each result
+  synchronously under a shared lock (no feeder thread), so a result is
+  in the pipe before the worker takes its next job.
 
 Raw processes (not an ``Executor``) because a shared task queue cannot
 cross the ``initargs`` pickle boundary — queues are inherited, not
@@ -25,14 +27,17 @@ Failure containment extends PR 3's per-item guarantee to worker death:
 a chunk lost to a crashed worker (segfault, ``os._exit``, OOM kill)
 surfaces as ``status="error"`` items for the missing indices — the
 surviving workers keep draining the queue and the batch still returns
-every index exactly once.
+every index exactly once.  Because results are written synchronously, a
+worker that dies between jobs loses none of the results it finished and
+never dies holding the write lock (a ``multiprocessing.Queue`` feeder
+thread killed mid-write would leave the lock held and block every
+surviving worker for good).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import queue
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -47,7 +52,7 @@ __all__ = ["PoolStats", "run_work_stealing"]
 #: enqueued per worker, after all chunks.
 _SENTINEL = b""
 
-#: Parent-side poll interval while waiting on the result queue; each
+#: Parent-side poll interval while waiting on the result pipe; each
 #: timeout is used to re-check worker liveness.
 _POLL_SECONDS = 0.2
 
@@ -70,10 +75,12 @@ class PoolStats:
     n_crashed: int
 
 
-def _pool_worker(task_q, result_q, config: Dict[str, Any], shm_name) -> None:
+def _pool_worker(
+    task_q, result_w, result_lock, config: Dict[str, Any], shm_name
+) -> None:
     """Worker loop: attach (shm transport), drain chunks until the
-    sentinel, stream one :class:`~repro.service.batch.BatchItem` per
-    index back to the parent."""
+    sentinel, send one :class:`~repro.service.batch.BatchItem` per
+    index back to the parent over the shared result pipe."""
     # Lazy import: batch.py imports this module at the top level; the
     # worker only runs post-fork, when both modules are fully loaded.
     from ..obs.spans import recorder as _span_recorder
@@ -112,17 +119,16 @@ def _pool_worker(task_q, result_q, config: Dict[str, Any], shm_name) -> None:
                     )
                 else:
                     item = _solve_indexed((index, payload))
-                result_q.put(item)
+                with result_lock:
+                    result_w.send(item)
             if exit_after is not None and any(
                 index == exit_after for index, _ in chunk
             ):
-                # Test seam: die *between* chunks, results flushed —
-                # the `maxtasksperchild`-style churn shape (a worker
+                # Test seam: die *between* chunks, results sent — the
+                # `maxtasksperchild`-style churn shape (a worker
                 # recycled after finishing its unit of work).  Unlike
                 # `_crash_on_index`, nothing is lost: the queue keeps
                 # the remaining chunks for the surviving workers.
-                result_q.close()
-                result_q.join_thread()
                 os._exit(9)
     except KeyboardInterrupt:  # pragma: no cover - parent handles teardown
         pass
@@ -178,7 +184,8 @@ def run_work_stealing(
 
     ctx = mp.get_context()
     task_q = ctx.Queue()
-    result_q = ctx.Queue()
+    result_r, result_w = ctx.Pipe(duplex=False)
+    result_lock = ctx.Lock()
     for blob in chunks:
         task_q.put(blob)
     for _ in range(n_workers):
@@ -187,7 +194,7 @@ def run_work_stealing(
     procs = [
         ctx.Process(
             target=_pool_worker,
-            args=(task_q, result_q, config, shm_name),
+            args=(task_q, result_w, result_lock, config, shm_name),
             daemon=True,
         )
         for _ in range(n_workers)
@@ -197,22 +204,20 @@ def run_work_stealing(
         for proc in procs:
             proc.start()
         while len(results) < n_jobs:
-            try:
-                item = result_q.get(timeout=_POLL_SECONDS)
+            if result_r.poll(_POLL_SECONDS):
+                item = result_r.recv()
                 results[item.index] = item
-            except queue.Empty:
-                if all(proc.exitcode is not None for proc in procs):
-                    # Every worker is gone; whatever is still in flight
-                    # in the queue feeder drains below, then missing
-                    # indices are filled in as crash errors.
-                    break
+            elif all(proc.exitcode is not None for proc in procs):
+                # Every worker is gone; whatever is still in the pipe
+                # drains below, then missing indices are filled in as
+                # crash errors.
+                break
         deadline = time.monotonic() + 1.0
         while len(results) < n_jobs and time.monotonic() < deadline:
-            try:
-                item = result_q.get(timeout=_POLL_SECONDS)
-                results[item.index] = item
-            except queue.Empty:
+            if not result_r.poll(_POLL_SECONDS):
                 break
+            item = result_r.recv()
+            results[item.index] = item
         # Workers exit on their own via the sentinels; join them before
         # the teardown below so a normal completion is not miscounted
         # as a crash by terminate().
@@ -229,9 +234,10 @@ def run_work_stealing(
             proc.join(timeout=5.0)
         # Unblock interpreter shutdown even with unread queue buffers
         # (KeyboardInterrupt mid-batch leaves chunks on the task queue).
-        for q in (task_q, result_q):
-            q.close()
-            q.cancel_join_thread()
+        task_q.close()
+        task_q.cancel_join_thread()
+        result_r.close()
+        result_w.close()
 
     items: List[Any] = []
     for index, _payload in jobs:

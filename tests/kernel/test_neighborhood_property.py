@@ -18,6 +18,10 @@ models and every platform class,
   :func:`~repro.algorithms.heuristics.anneal` return the oracles'
   solutions and leave the budget meter in the same state, unbudgeted or
   under an evaluation cap that runs out anywhere, mid-scan included.
+
+Hypothesis draws the platform class, rule and model at random, so one
+run need not reach every combination; a pinned grid over all twelve
+cells runs the same checks on a seeded instance per cell.
 """
 
 import pytest
@@ -29,11 +33,19 @@ from repro import (
     Criterion,
     EvaluationContext,
     MappingRule,
+    PlatformClass,
     ProblemInstance,
     Thresholds,
 )
-from repro.algorithms.heuristics import anneal, hill_climb, neighbors
+from repro.algorithms.heuristics import (
+    anneal,
+    greedy_interval_period,
+    greedy_one_to_one_period,
+    hill_climb,
+    neighbors,
+)
 from repro.algorithms.heuristics.local_search import score_many, score_values
+from repro.generators import small_random_problem
 from repro.kernel import generate_neighborhood
 from repro.strategies import BudgetMeter, SolveBudget
 
@@ -220,6 +232,70 @@ def test_batch_matches_scalar_every_cell(instance):
     """The neighborhood itself, over every class, model and rule."""
     problem, mapping = instance
     assert_batch_matches_scalar(problem, mapping)
+
+
+CELLS = pytest.mark.parametrize(
+    "platform_class, rule, model",
+    [
+        (platform_class, rule, model)
+        for platform_class in PlatformClass
+        for rule in MappingRule
+        for model in BOTH_MODELS
+    ],
+    ids=lambda value: value.name.lower(),
+)
+
+
+def pinned_cell(platform_class, rule, model):
+    """A seeded two-app instance of one cell, its greedy period start
+    and the search arguments.
+
+    The search minimizes energy under a period bound looser than the
+    start's, so every cell moves off the start and scores the bound's
+    penalty.  Returns the problem, the positional search arguments and
+    the evaluation caps to run under: none, the first candidate,
+    mid-way through the first scan and mid-way through the second.
+    """
+    problem = small_random_problem(
+        11,
+        platform_class=platform_class,
+        rule=rule,
+        model=model,
+        n_modes=2,
+        stage_range=(2, 3),
+    )
+    if rule is MappingRule.ONE_TO_ONE:
+        start = greedy_one_to_one_period(problem)
+    else:
+        start = greedy_interval_period(problem)
+    thresholds = Thresholds(period=start.values.period * 1.5)
+    n = len(generate_neighborhood(problem, start.mapping))
+    args = (problem, start.mapping, Criterion.ENERGY, thresholds)
+    return problem, args, (None, 1, n // 2 + 1, n + n // 2 + 1)
+
+
+@CELLS
+def test_hill_climb_matches_oracle_every_cell(platform_class, rule, model):
+    """The neighborhood and the climb, pinned to one cell."""
+    problem, args, caps = pinned_cell(platform_class, rule, model)
+    assert_batch_matches_scalar(problem, args[1])
+    for cap in caps:
+        assert_same_solution(
+            run_metered(hill_climb, cap, *args, max_iterations=6),
+            run_metered(reference_hill_climb, cap, *args, max_iterations=6),
+        )
+
+
+@CELLS
+def test_anneal_matches_oracle_every_cell(platform_class, rule, model):
+    """Annealing from the same seed, pinned to one cell."""
+    _problem, args, caps = pinned_cell(platform_class, rule, model)
+    kwargs = dict(seed=5, n_iterations=40)
+    for cap in caps:
+        assert_same_solution(
+            run_metered(anneal, cap, *args, **kwargs),
+            run_metered(reference_anneal, cap, *args, **kwargs),
+        )
 
 
 def test_empty_batch_evaluates_to_empty_vectors(fig1_apps, fig1_platform):
