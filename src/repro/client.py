@@ -1,8 +1,11 @@
 """HTTP client for the solve-service daemon (:mod:`repro.server`).
 
-:class:`SolveClient` is a small, dependency-free (``urllib``) client:
-submit instances, poll job status, wait for results, stream a fleet of
-jobs as they finish.  Transient transport failures retry with
+:class:`SolveClient` is a small, dependency-free (``http.client``)
+client: submit instances, wait for results, stream a fleet of jobs as
+they finish.  Each thread keeps one keep-alive connection per server; a
+cached cell comes back inline with its submission (one round trip), and
+waiting long-polls ``GET /v1/jobs/{id}/result?wait=S`` instead of
+sleeping between status polls.  Transient transport failures retry with
 exponential backoff — and because the daemon deduplicates submissions by
 content (instance + solver configuration), retrying a submit is
 *idempotent*: a duplicate simply coalesces onto the original job's cell.
@@ -23,14 +26,14 @@ Quickstart::
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
-from urllib.parse import urljoin
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from urllib.parse import urljoin, urlsplit
 
 from .core.exceptions import ReproError
 from .core.problem import ProblemInstance, Solution
@@ -47,22 +50,6 @@ _RETRY_AFTER_CAP = 30.0
 #: fetches with a ``307`` to the owning shard (``--redirect-results``);
 #: one hop is the norm, a few more are tolerated, loops are not.
 _MAX_REDIRECTS = 5
-
-
-class _NoRedirectHandler(urllib.request.HTTPRedirectHandler):
-    """Disable urllib's implicit redirect following.
-
-    The stock handler silently re-issues GETs (and mangles POSTs into
-    GETs on 303) — the client follows redirects itself instead, for
-    every method, preserving the body, so router redirects behave
-    identically for submits and fetches.
-    """
-
-    def redirect_request(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-
-_OPENER = urllib.request.build_opener(_NoRedirectHandler)
 
 __all__ = [
     "ClientError",
@@ -144,16 +131,20 @@ class SolveClient:
     base_url:
         ``http://host:port`` of the daemon (no trailing slash needed).
     timeout:
-        Per-request socket timeout in seconds.
+        Per-request socket timeout in seconds.  A long-poll result fetch
+        also asks the server to hold it up to this long (the server may
+        cap it lower), and its socket timeout is stretched by as much.
     retries:
         Transport-level retries per request (connection refused/reset,
-        HTTP 5xx, and 429 load-shedding).  Safe for submissions too:
+        HTTP 5xx and 429 load-shedding).  A ``503`` whose retry hint says
+        when a server at its connection cap frees a slot is waited out
+        without spending a retry, within the request's own time budget.  Safe for submissions too:
         the daemon's content-addressed dedup coalesces an accidental
         duplicate.
     backoff:
         Initial retry delay, doubled per attempt up to ``max_backoff``.
-        A ``429`` response's ``Retry-After`` hint overrides the
-        exponential delay for that attempt (capped at 30s).
+        A ``429`` or ``503`` response's ``Retry-After`` hint overrides
+        the exponential delay for that attempt (capped at 30s).
     tracing:
         When true (default), every submission carries a fresh
         distributed-trace id (``X-Repro-Trace-Id``) so the server-side
@@ -178,6 +169,9 @@ class SolveClient:
         self.backoff = backoff
         self.max_backoff = max_backoff
         self.tracing = tracing
+        #: Per-thread ``{netloc: HTTPConnection}``: one keep-alive
+        #: connection per server and thread.
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # transport
@@ -188,35 +182,55 @@ class SolveClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         headers: Optional[Dict[str, str]] = None,
+        *,
+        wait: float = 0.0,
     ) -> Dict[str, Any]:
+        """One API call: the decoded JSON body of a 2xx answer.  ``wait``
+        is how long the server may hold it (a long-poll)."""
         url = f"{self.base_url}{path}"
         body = None if payload is None else json.dumps(payload).encode()
         delay = self.backoff
         last_exc: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
+        # A 503 with a retry hint means a server at its connection cap
+        # names when a slot frees: waiting that out spends no retry while
+        # it fits in the time this request may take anyway.
+        budget_end = time.monotonic() + self.timeout + wait
+        attempt = 0
+        while True:
+            hint: Optional[float] = None
             try:
-                with self._open_following_redirects(
-                    url, method, body, headers
-                ) as response:
-                    return json.loads(response.read().decode() or "{}")
-            except urllib.error.HTTPError as exc:
-                if exc.code == 429 and attempt < self.retries:
-                    # Shed by the daemon's bounded queue: honor its
-                    # Retry-After hint instead of the exponential delay,
-                    # then resubmit (dedup makes the retry idempotent).
-                    last_exc = exc
-                    time.sleep(min(self._retry_after(exc), _RETRY_AFTER_CAP))
-                    continue
-                detail = self._error_detail(exc)
-                if exc.code >= 500 and attempt < self.retries:
-                    last_exc = exc
-                else:
-                    raise ClientError(
-                        f"{method} {path} failed with HTTP {exc.code}: {detail}"
-                    ) from None
-            except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
+                status, resp_headers, data = self._exchange(
+                    url, method, body, headers, self.timeout + wait
+                )
+            except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
-            if attempt < self.retries:
+            else:
+                if status < 400:
+                    return json.loads(data.decode() or "{}")
+                detail = self._error_detail(data)
+                last_exc = ClientError(f"HTTP {status}: {detail}")
+                if status in (429, 503):
+                    hint = self._retry_after(resp_headers, data)
+                if (
+                    status == 503
+                    and hint is not None
+                    and time.monotonic() + hint < budget_end
+                ):
+                    time.sleep(hint)
+                    continue
+                if (status < 500 and status != 429) or attempt >= self.retries:
+                    raise ClientError(
+                        f"{method} {path} failed with HTTP {status}: {detail}"
+                    )
+            if attempt >= self.retries:
+                break
+            attempt += 1
+            if hint is not None:
+                # Shed by the daemon's bounded queue (429) or a cap
+                # (503): honor the server's hint instead of the
+                # exponential delay (dedup makes a resubmit idempotent).
+                time.sleep(min(hint, _RETRY_AFTER_CAP))
+            else:
                 time.sleep(delay)
                 delay = min(delay * 2, self.max_backoff)
         raise ServerUnavailableError(
@@ -224,13 +238,14 @@ class SolveClient:
             f"{last_exc}"
         )
 
-    def _open_following_redirects(
+    def _exchange(
         self,
         url: str,
         method: str,
         body: Optional[bytes],
-        headers: Optional[Dict[str, str]] = None,
-    ):
+        headers: Optional[Dict[str, str]],
+        timeout: float,
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
         """Issue one request, following up to ``_MAX_REDIRECTS`` hops.
 
         ``307``/``308`` (and the legacy ``301``/``302``) re-issue the
@@ -240,48 +255,93 @@ class SolveClient:
         per the RFC.
         """
         for _hop in range(_MAX_REDIRECTS + 1):
-            request = urllib.request.Request(
-                url,
-                data=body,
-                method=method,
-                headers={"Content-Type": "application/json", **(headers or {})},
+            status, resp_headers, data = self._send(
+                url, method, body, headers, timeout
             )
-            try:
-                return _OPENER.open(request, timeout=self.timeout)
-            except urllib.error.HTTPError as exc:
-                location = exc.headers.get("Location") if exc.headers else None
-                if exc.code in (301, 302, 303, 307, 308) and location:
-                    exc.close()
-                    url = urljoin(url, location)
-                    if exc.code == 303:
-                        method, body = "GET", None
-                    continue
-                raise
+            location = resp_headers.get("Location")
+            if status in (301, 302, 303, 307, 308) and location:
+                url = urljoin(url, location)
+                if status == 303:
+                    method, body = "GET", None
+                continue
+            return status, resp_headers, data
         raise ClientError(
             f"{method} {url}: more than {_MAX_REDIRECTS} redirects"
         )
 
-    @staticmethod
-    def _error_detail(exc: urllib.error.HTTPError) -> str:
-        try:
-            return json.loads(exc.read().decode()).get("error", str(exc))
-        except Exception:
-            return str(exc)
+    def _send(
+        self,
+        url: str,
+        method: str,
+        body: Optional[bytes],
+        headers: Optional[Dict[str, str]],
+        timeout: float,
+    ) -> Tuple[int, http.client.HTTPMessage, bytes]:
+        """One request on this thread's keep-alive connection to the
+        URL's server, sent once more on a fresh connection when a reused
+        one turns out closed by the server while it sat idle."""
+        parts = urlsplit(url)
+        connections = self._local.__dict__.setdefault("connections", {})
+        conn = connections.get(parts.netloc)
+        if conn is None:
+            factory = (
+                http.client.HTTPSConnection
+                if parts.scheme == "https"
+                else http.client.HTTPConnection
+            )
+            conn = connections[parts.netloc] = factory(parts.netloc)
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        headers = {"Content-Type": "application/json", **(headers or {})}
+        while True:
+            reused = conn.sock is not None
+            conn.timeout = timeout
+            if reused:
+                conn.sock.settimeout(timeout)
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+                return response.status, response.headers, response.read()
+            except BaseException as exc:
+                conn.close()
+                if not (reused and isinstance(exc, ConnectionError)):
+                    raise
 
-    def _retry_after(self, exc: urllib.error.HTTPError) -> float:
-        """Extract the daemon's wait hint from a 429: the JSON body's
-        float ``retry_after`` when present, else the integer-seconds
-        ``Retry-After`` header, else the configured backoff."""
+    @staticmethod
+    def _error_detail(data: bytes) -> str:
         try:
-            payload = json.loads(exc.read().decode() or "{}")
+            return json.loads(data.decode()).get("error", "")
+        except Exception:
+            return data[:200].decode("latin-1")
+
+    @staticmethod
+    def _retry_after(
+        headers: http.client.HTTPMessage, data: bytes
+    ) -> Optional[float]:
+        """The server's wait hint in a 429 or 503: the JSON body's float
+        ``retry_after`` when present, else the integer-seconds
+        ``Retry-After`` header, else ``None``."""
+        try:
+            payload = json.loads(data.decode() or "{}")
             if payload.get("retry_after") is not None:
                 return max(0.0, float(payload["retry_after"]))
         except Exception:
             pass
         try:
-            return max(0.0, float(exc.headers.get("Retry-After")))
-        except (AttributeError, TypeError, ValueError):
-            return self.backoff
+            return max(0.0, float(headers.get("Retry-After")))
+        except (TypeError, ValueError):
+            return None
+
+    def close(self) -> None:
+        """Close the calling thread's keep-alive connections (another
+        thread's close when that thread ends)."""
+        for conn in self._local.__dict__.pop("connections", {}).values():
+            conn.close()
+
+    def __enter__(self) -> "SolveClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # endpoints
@@ -393,50 +453,52 @@ class SolveClient:
     # ------------------------------------------------------------------
     # waiting / convenience
     # ------------------------------------------------------------------
+    def _long_poll(
+        self, job_id: str, deadline: Optional[float]
+    ) -> Optional[Dict[str, Any]]:
+        """One ``GET /v1/jobs/{id}/result?wait=S`` (S: the time left, at
+        most :attr:`timeout`): the result payload, ``None`` if pending."""
+        wait = self.timeout
+        if deadline is not None:
+            wait = min(wait, max(0.0, deadline - time.monotonic()))
+        payload = self._request(
+            "GET", f"/v1/jobs/{job_id}/result?wait={wait:.3f}", wait=wait
+        )
+        if payload.get("state") in ("done", "cancelled"):
+            return payload
+        return None
+
     @staticmethod
-    def _jittered(delay: float) -> float:
-        """Uniform jitter in ``[delay/2, delay]`` — a fleet of waiters
-        started together desynchronizes instead of polling the daemon
-        (or the shard router) in lockstep."""
-        return delay * (0.5 + 0.5 * random.random())
+    def _finished(payload: Dict[str, Any]) -> RemoteResult:
+        """Decode a finished job's result payload; a cancelled job
+        raises :class:`JobFailedError`."""
+        if payload.get("state") == "cancelled":
+            raise JobFailedError(
+                f"job {payload.get('id')} was cancelled", payload
+            )
+        return RemoteResult.from_payload(payload)
 
     def wait(
-        self,
-        job_id: str,
-        *,
-        timeout: Optional[float] = 60.0,
-        poll_interval: float = 0.02,
-        max_poll_interval: float = 2.0,
+        self, job_id: str, *, timeout: Optional[float] = 60.0
     ) -> RemoteResult:
-        """Poll until the job finishes, then return its decoded result.
+        """Wait until the job finishes, then return its decoded result.
 
-        Polling uses jittered exponential backoff: the delay doubles
-        from ``poll_interval`` up to ``max_poll_interval`` (default cap
-        2 s), and each sleep is jittered down by up to half.  A
-        short job still resolves in milliseconds, while a thousand
-        waiters on slow jobs send O(log) requests each instead of
-        busy-polling.  Raises :class:`JobFailedError` when the job was
-        cancelled, ``TimeoutError`` past ``timeout``.
+        Each request long-polls the result for up to :attr:`timeout`
+        seconds (or the server's cap, 10 s by default, if lower), so a
+        job of ``T`` seconds costs about ``ceil(T / 10)`` requests and
+        resolves as soon as it is done.  Raises
+        :class:`JobFailedError` when the job was cancelled,
+        ``TimeoutError`` past ``timeout``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        delay = poll_interval
         while True:
-            view = self.job(job_id)
-            if view["state"] in ("done", "cancelled"):
-                break
+            payload = self._long_poll(job_id, deadline)
+            if payload is not None:
+                return self._finished(payload)
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
-                    f"job {job_id} not finished within {timeout}s "
-                    f"(state={view['state']})"
+                    f"job {job_id} not finished within {timeout}s"
                 )
-            sleep = self._jittered(delay)
-            if deadline is not None:
-                sleep = min(sleep, max(0.0, deadline - time.monotonic()))
-            time.sleep(sleep)
-            delay = min(delay * 2, max_poll_interval)
-        if view["state"] == "cancelled":
-            raise JobFailedError(f"job {job_id} was cancelled", view)
-        return self.result(job_id)
 
     def solve(
         self,
@@ -448,12 +510,17 @@ class SolveClient:
     ) -> RemoteResult:
         """Submit one job and wait for its result.
 
-        Raises :class:`JobFailedError` on an errored job; infeasible
-        outcomes are returned (``result.status == "infeasible"``), like
-        the batch service's item statuses.
+        A job the server answers at once (a cached cell) carries its
+        result inline, so it costs this one request.  Raises
+        :class:`JobFailedError` on an errored job; infeasible outcomes
+        are returned (``result.status == "infeasible"``), like the
+        batch service's item statuses.
         """
         view = self.submit(problem, priority=priority, **solver_kwargs)
-        result = self.wait(view["id"], timeout=timeout)
+        if view.get("result") is not None:
+            result = self._finished(view["result"])
+        else:
+            result = self.wait(view["id"], timeout=timeout)
         if result.status == "error":
             raise JobFailedError(
                 f"job {result.job_id} failed: {result.error}", result.raw
@@ -519,6 +586,13 @@ class SolveClient:
         merged front, hypervolume and done/total telemetry."""
         return self._request("GET", f"/v1/fronts/{front_id}")
 
+    @staticmethod
+    def _jittered(delay: float) -> float:
+        """Uniform jitter in ``[delay/2, delay]`` — a fleet of front
+        watchers started together desynchronizes instead of polling the
+        daemon (or the shard router) in lockstep."""
+        return delay * (0.5 + 0.5 * random.random())
+
     def iter_front(
         self,
         front_id: str,
@@ -533,8 +607,9 @@ class SolveClient:
         done, new points merged, or higher hypervolume); the final view
         has ``state == "done"`` and is always yielded, so consuming the
         iterator to exhaustion leaves you with the finished front.
-        Polling backs off with the same jittered exponential schedule as
-        :meth:`wait`; progress resets the delay.
+        Polling backs off with a jittered exponential schedule (from
+        ``poll_interval`` doubling to ``max_poll_interval``); progress
+        resets the delay.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         delay = poll_interval
@@ -564,48 +639,20 @@ class SolveClient:
         job_ids: Sequence[str],
         *,
         timeout: Optional[float] = 300.0,
-        poll_interval: float = 0.02,
-        max_poll_interval: float = 2.0,
     ) -> Iterator[RemoteResult]:
-        """Yield each job's result as it finishes (completion order).
-
-        Cancelled jobs yield a ``status="cancelled"`` result rather than
-        raising, so one cancelled job does not abort iteration over a
-        fleet.  Sweeps without progress back off with the same jittered
-        exponential schedule as :meth:`wait` (cap
-        ``max_poll_interval``); any finished job resets the delay.
+        """Yield each job's result, in the given order, as soon as it
+        and the jobs before it have finished: the first unfinished job
+        is long-polled as in :meth:`wait`.  Cancelled jobs yield a
+        ``status="cancelled"`` result rather than raising.
         """
-        pending = list(job_ids)
         deadline = None if timeout is None else time.monotonic() + timeout
-        delay = poll_interval
+        pending = list(job_ids)
         while pending:
-            still_pending = []
-            progressed = False
-            for job_id in pending:
-                view = self.job(job_id)
-                if view["state"] == "done":
-                    progressed = True
-                    yield self.result(job_id)
-                elif view["state"] == "cancelled":
-                    progressed = True
-                    yield RemoteResult(
-                        job_id=job_id,
-                        status="cancelled",
-                        source=None,
-                        wall_time=0.0,
-                        raw=view,
-                    )
-                else:
-                    still_pending.append(job_id)
-            pending = still_pending
-            if not pending:
-                return
-            if deadline is not None and time.monotonic() >= deadline:
+            payload = self._long_poll(pending[0], deadline)
+            if payload is not None:
+                pending.pop(0)
+                yield RemoteResult.from_payload(payload)
+            elif deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"{len(pending)} job(s) not finished within {timeout}s"
                 )
-            if progressed:
-                delay = poll_interval
-            else:
-                time.sleep(self._jittered(delay))
-                delay = min(delay * 2, max_poll_interval)

@@ -2,20 +2,26 @@
 
 A deliberately small HTTP/1.1 implementation on ``asyncio.start_server``
 (no web framework — the repo's no-new-runtime-deps rule applies to the
-daemon too): one request per connection, JSON in, JSON out.
+daemon too): JSON in, JSON out, over the keep-alive connection loop
+(:class:`HttpFrontEnd`) the daemon shares with the shard router.
 
 Routes
 ------
 =======  ============================  =======================================
 Method   Path                          Meaning
 =======  ============================  =======================================
-POST     ``/v1/jobs``                  submit a job (``202``; ``200`` when
-                                       served from cache immediately; ``429``
-                                       + ``Retry-After`` when the bounded
-                                       queue sheds the submission)
+POST     ``/v1/jobs``                  submit a job (``202``; ``200`` and the
+                                       ``"result"`` inline when born done;
+                                       ``429`` + ``Retry-After`` when the
+                                       bounded queue sheds the submission)
 GET      ``/v1/jobs``                  list retained jobs (``?state=&limit=``)
 GET      ``/v1/jobs/{id}``             job status + telemetry
-GET      ``/v1/jobs/{id}/result``      solution payload of a finished job
+GET      ``/v1/jobs/{id}/result``      solution payload of a finished job;
+                                       ``?wait=S`` long-polls up to S
+                                       seconds (capped at
+                                       :data:`MAX_WAIT_S`), then answers
+                                       ``202`` + the job view (at once
+                                       when released to make room)
 DELETE   ``/v1/jobs/{id}``             cancel a queued job
 POST     ``/v1/fronts``                submit an anytime Pareto-front sweep
                                        (``202``; ``200`` when every cell was
@@ -43,11 +49,13 @@ includes time spent on the wire.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import math
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from http import HTTPStatus
+from typing import Any, Awaitable, Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .. import __version__
@@ -69,24 +77,42 @@ from .service import (
     UnknownJobError,
 )
 
-__all__ = ["ServerThread", "SolveServer", "serve", "run_server"]
+__all__ = ["HttpFrontEnd", "ServerThread", "SolveServer", "serve", "run_server"]
 
 #: Largest accepted request body (a problem payload is a few KB; this is
 #: headroom, not a promise).
 MAX_BODY_BYTES = 32 * 1024 * 1024
 
-_STATUS_PHRASES = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
+#: Seconds a client has, once its request line is in, to send the rest
+#: of the request (headers and body); past it the request gets ``408``.
+REQUEST_DEADLINE_S = 10.0
+
+#: Seconds a keep-alive connection may sit idle between requests before
+#: the server closes it.
+IDLE_TIMEOUT_S = 30.0
+
+#: Connections served at once.  One more closes the connection idle
+#: longest, else releases the oldest long-poll held
+#: :data:`LONG_POLL_MIN_HOLD_S`, else is answered ``503`` and closed.
+MAX_CONNECTIONS = 256
+
+#: Cap on ``GET /v1/jobs/{id}/result?wait=S``: the longest one result
+#: fetch holds its request open waiting for the job to finish.
+MAX_WAIT_S = 10.0
+
+#: Seconds a long-poll keeps its connection before one arriving at
+#: :data:`MAX_CONNECTIONS` may release it (answer it at once and close
+#: it); one arriving sooner gets ``503`` with the time left as its
+#: retry hint.
+LONG_POLL_MIN_HOLD_S = 1.0
+
+#: Seconds :meth:`HttpFrontEnd._close_connections` lets requests still
+#: being served finish their response before cancelling them.
+_CLOSE_GRACE_S = 5.0
+
+#: Seconds a connection the server closes after its last response keeps
+#: reading (see :func:`_close_after`).
+_LINGER_S = 1.0
 
 
 class _HttpError(Exception):
@@ -122,6 +148,8 @@ def _response(
     status: int,
     payload: Any,
     headers: Optional[Dict[str, str]] = None,
+    *,
+    keep_alive: bool = False,
 ) -> bytes:
     if isinstance(payload, _PlainText):
         body = payload.encode()
@@ -129,16 +157,17 @@ def _response(
     else:
         body = json.dumps(payload).encode()
         content_type = "application/json"
-    phrase = _STATUS_PHRASES.get(status, "Unknown")
+    phrase = HTTPStatus(status).phrase
     extra = "".join(
         f"{name}: {value}\r\n" for name, value in (headers or {}).items()
     )
+    if not keep_alive:
+        extra += "Connection: close\r\n"
     head = (
         f"HTTP/1.1 {status} {phrase}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"{extra}"
-        f"Connection: close\r\n"
         f"\r\n"
     )
     return head.encode() + body
@@ -151,20 +180,39 @@ async def _readline(reader: asyncio.StreamReader) -> bytes:
         raise _HttpError(400, "request line or header too long") from None
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, Dict[str, str], bytes]:
-    """Parse one HTTP/1.1 request into (method, target, headers, body).
+async def _close_after(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, response: bytes
+) -> None:
+    """Send a connection's last response and half-close it, then read
+    and drop what the client still sends until it closes, for at most
+    :data:`_LINGER_S`: closing a socket with unread input resets the
+    connection, and the client may lose the response with it."""
+    writer.write(response)
+    await writer.drain()
+    writer.write_eof()
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + _LINGER_S
+    with contextlib.suppress(asyncio.TimeoutError, ConnectionError):
+        while await asyncio.wait_for(reader.read(65536), deadline - loop.time()):
+            pass
 
-    Every malformed framing raises ``_HttpError(400)``; a body larger
-    than :data:`MAX_BODY_BYTES` raises ``_HttpError(413)``."""
-    request_line = await _readline(reader)
-    if not request_line:
-        raise _HttpError(400, "empty request")
-    try:
-        method, target, _version = request_line.decode("latin-1").split()
-    except ValueError:
-        raise _HttpError(400, "malformed request line") from None
+
+class _Request(NamedTuple):
+    method: str
+    target: str
+    headers: Dict[str, str]
+    body: bytes
+    #: False for HTTP/1.0 and for ``Connection: close``.
+    keep_alive: bool
+
+
+async def _read_message(
+    reader: asyncio.StreamReader,
+) -> Tuple[Dict[str, str], bytes]:
+    """Read the headers (names lower-cased) and ``Content-Length`` body
+    after a request or status line.  Malformed framing raises
+    ``_HttpError(400)``, a body past :data:`MAX_BODY_BYTES` ``413``,
+    ``Transfer-Encoding`` (chunked bodies) ``501``."""
     headers: Dict[str, str] = {}
     while True:
         line = await _readline(reader)
@@ -172,28 +220,380 @@ async def _read_request(
             break
         if len(headers) > 100:
             raise _HttpError(400, "too many headers")
-        try:
-            name, _, value = line.decode("latin-1").partition(":")
-        except UnicodeDecodeError:
-            raise _HttpError(400, "malformed header") from None
+        name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise _HttpError(
+            501, "Transfer-Encoding is not supported; send Content-Length"
+        )
     raw_length = headers.get("content-length", "0") or "0"
-    try:
-        length = int(raw_length)
-    except ValueError:
-        length = -1
-    if length < 0:
+    if not (raw_length.isascii() and raw_length.isdigit()):
         raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
     try:
         body = await reader.readexactly(length) if length else b""
     except asyncio.IncompleteReadError:
         raise _HttpError(400, "request body shorter than Content-Length") from None
-    return method.upper(), target, headers, body
+    return headers, body
 
 
-class SolveServer:
+async def _read_request(
+    reader: asyncio.StreamReader, request_line: Optional[bytes] = None
+) -> _Request:
+    """Parse one HTTP/1.x request (after ``request_line`` when the
+    caller already read it); errors as in :func:`_read_message`."""
+    if request_line is None:
+        request_line = await _readline(reader)
+    if not request_line:
+        raise _HttpError(400, "empty request")
+    try:
+        method, target, version = request_line.decode("latin-1").split()
+    except ValueError:
+        raise _HttpError(400, "malformed request line") from None
+    headers, body = await _read_message(reader)
+    keep_alive = (
+        version == "HTTP/1.1"
+        and headers.get("connection", "").lower() != "close"
+    )
+    return _Request(method.upper(), target, headers, body, keep_alive)
+
+
+#: ``(status, payload, extra response headers)`` of one request.
+_Answer = Tuple[int, Any, Dict[str, str]]
+
+
+def _expect(method: str, expected: str) -> None:
+    if method != expected:
+        raise _HttpError(405, f"method {method} not allowed here")
+
+
+def _parse_body(body: bytes, parse: Callable[[Any], Any]) -> Any:
+    """Decode a JSON request body and validate it with ``parse`` (a
+    :mod:`~repro.server.protocol` parser); any failure is a ``400``."""
+    try:
+        payload = json.loads(body.decode() or "null")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise _HttpError(400, f"invalid JSON body: {exc}") from None
+    try:
+        return parse(payload)
+    except ProtocolError as exc:
+        raise _HttpError(400, str(exc)) from None
+
+
+@contextlib.contextmanager
+def _admission() -> Iterator[None]:
+    """Map the service's refusals to HTTP: closing is ``503``, shedding
+    ``429`` with ``Retry-After`` (the header carries the integer-seconds
+    form, the JSON body the precise float).  Nothing was queued."""
+    try:
+        yield
+    except ServiceClosedError as exc:
+        raise _HttpError(503, str(exc)) from None
+    except ServiceOverloadedError as exc:
+        raise _HttpError(
+            429,
+            str(exc),
+            headers={"Retry-After": str(max(1, math.ceil(exc.retry_after)))},
+            extra={"retry_after": exc.retry_after},
+        ) from None
+
+
+def _wait_seconds(query: Dict[str, List[str]]) -> Optional[float]:
+    """The ``?wait=S`` of a result fetch, capped at :data:`MAX_WAIT_S`;
+    ``None`` when absent, ``400`` unless a non-negative number."""
+    if "wait" not in query:
+        return None
+    try:
+        seconds = float(query["wait"][0])
+    except ValueError:
+        seconds = -1.0
+    if not seconds >= 0.0:  # also rejects NaN
+        raise _HttpError(
+            400, f"'wait' must be a non-negative number, got {query['wait'][0]!r}"
+        )
+    return min(seconds, MAX_WAIT_S)
+
+
+class HttpFrontEnd:
+    """The HTTP/1.1 keep-alive connection loop and route table of the
+    daemon and the router.
+
+    Subclasses implement the handlers :meth:`_route` dispatches to:
+    ``_healthz``, ``_metrics``, ``_trace`` and ``_list_jobs`` return a
+    payload served with ``200``; ``_submit``, ``_job_request``,
+    ``_result``, ``_submit_front`` and ``_front_request`` return
+    ``(status, payload, headers)``.  Handlers raise :class:`_HttpError`
+    for error answers; any other exception is a ``500``.  A connection
+    is served until the client sends ``Connection: close``, speaks
+    HTTP/1.0, idles :data:`IDLE_TIMEOUT_S` or sends a request that
+    cannot be framed; a request not whole :data:`REQUEST_DEADLINE_S`
+    after its request line gets ``408``.  At :data:`MAX_CONNECTIONS` a
+    new connection makes room (:meth:`_admit`) or gets ``503``.
+    """
+
+    def __init__(self, *, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        #: Requests answered since start (every hop of every connection).
+        self.requests_served = 0
+        self._server: Optional[asyncio.base_events.Server] = None
+        #: Every open connection's task and the stream it reads.
+        self._connections: Dict[asyncio.Task, asyncio.StreamReader] = {}
+        #: A connection's next request line, read while it held a long-poll.
+        self._read_ahead: Dict[asyncio.Task, bytes] = {}
+        #: Connections let go to make room: they close after the response
+        #: in hand and no longer count against the cap.
+        self._evicted: Set[asyncio.Task] = set()
+        #: Connections waiting for a request line, idle longest first:
+        #: True once they have answered one (only those may be closed to
+        #: make room; a new connection's first request is on its way).
+        self._idle: Dict[asyncio.Task, bool] = {}
+        #: Connections holding a long-poll, oldest first: its start and
+        #: the future that releases it.
+        self._long_polls: Dict[asyncio.Task, Tuple[float, asyncio.Future]] = {}
+        self._closing = False
+
+    @property
+    def url(self) -> str:
+        """Base URL clients should target."""
+        return f"http://{self.host}:{self.port}"
+
+    async def _route(
+        self, method: str, target: str, body: bytes, headers: Dict[str, str]
+    ) -> _Answer:
+        """Dispatch one request of the API (module docstring) to the
+        subclass's handlers."""
+        split = urlsplit(target)
+        parts = [p for p in split.path.split("/") if p]
+        if parts == ["metrics"]:
+            # Prometheus scrape target: text exposition rendered from
+            # the same payload GET /v1/metrics serves as JSON.
+            _expect(method, "GET")
+            return 200, _PlainText(to_prometheus(await self._metrics())), {}
+        if parts[:1] != ["v1"]:
+            raise _HttpError(404, f"unknown path {split.path!r}")
+        rest = parts[1:]
+        if rest == ["healthz"]:
+            _expect(method, "GET")
+            return 200, self._healthz(), {}
+        if rest == ["metrics"]:
+            _expect(method, "GET")
+            return 200, await self._metrics(), {}
+        if len(rest) == 2 and rest[0] == "traces":
+            _expect(method, "GET")
+            return 200, await self._trace(rest[1]), {}
+        if rest == ["jobs"]:
+            if method == "POST":
+                return await self._submit(body, headers)
+            _expect(method, "GET")
+            return 200, await self._list_jobs(split.query), {}
+        if len(rest) == 2 and rest[0] == "jobs":
+            if method != "DELETE":
+                _expect(method, "GET")
+            return await self._job_request(method, rest[1])
+        if len(rest) == 3 and rest[0] == "jobs" and rest[2] == "result":
+            _expect(method, "GET")
+            wait = _wait_seconds(parse_qs(split.query))
+            if wait:
+                return await self._long_poll(rest[1], wait)
+            return await self._result(rest[1], wait)
+        if rest == ["fronts"]:
+            _expect(method, "POST")
+            return await self._submit_front(body)
+        if len(rest) == 2 and rest[0] == "fronts":
+            _expect(method, "GET")
+            return await self._front_request(rest[1])
+        raise _HttpError(404, f"unknown path {split.path!r}")
+
+    async def _listen(self) -> None:
+        """Bind the listening socket (``port=0`` picks an ephemeral one,
+        reflected in :attr:`port` afterwards)."""
+        self._closing = False
+        self._server = await asyncio.start_server(
+            self._serve_connection, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def _stop_listening(self) -> None:
+        """Stop accepting and close every idle connection; one serving a
+        request closes after its response."""
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        for task in list(self._idle):
+            task.cancel()
+
+    async def _close_connections(self) -> None:
+        """Give requests still being served :data:`_CLOSE_GRACE_S` to
+        answer, cancel the rest, and wait for every connection task."""
+        tasks = list(self._connections)
+        if not tasks:
+            return
+        _done, pending = await asyncio.wait(tasks, timeout=_CLOSE_GRACE_S)
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    def _admit(
+        self, task: asyncio.Task, reader: asyncio.StreamReader
+    ) -> Optional[bytes]:
+        """Count a new connection's ``task`` against
+        :data:`MAX_CONNECTIONS`, making room at the cap: close the
+        connection idle longest, else release the oldest long-poll once
+        it has held :data:`LONG_POLL_MIN_HOLD_S`.  The ``503`` to answer
+        when the connection cannot be served (its retry hint is the time
+        until the oldest long-poll becomes releasable)."""
+        if self._closing:
+            return _response(503, {"error": "server is closing"})
+        if len(self._connections) - len(self._evicted) >= MAX_CONNECTIONS:
+            victim = next((t for t, answered in self._idle.items() if answered), None)
+            if victim is not None:
+                del self._idle[victim]
+                victim.cancel()
+            elif self._long_polls:
+                victim, (since, release) = next(iter(self._long_polls.items()))
+                retry = since + LONG_POLL_MIN_HOLD_S - time.monotonic()
+                if retry > 0:
+                    return _response(
+                        503,
+                        {"error": "too many open connections", "retry_after": retry},
+                        {"Retry-After": str(math.ceil(retry))},
+                    )
+                del self._long_polls[victim]
+                release.set_result(None)
+            else:
+                return _response(503, {"error": "too many open connections"})
+            self._evicted.add(victim)
+        self._connections[task] = reader
+        return None
+
+    async def _long_poll(self, job_id: str, wait: float) -> _Answer:
+        """``_result(job_id, wait)``, which holds the connection up to
+        ``wait`` seconds.  The hold ends early when :meth:`_admit`
+        releases it, or when the client hangs up or sends its next
+        request (read ahead for the connection loop); it then answers
+        with the job as it stands (``_result(job_id, 0)``)."""
+        task = asyncio.current_task()
+        assert task is not None
+        released = asyncio.get_running_loop().create_future()
+        self._long_polls[task] = (time.monotonic(), released)
+        poll = asyncio.ensure_future(self._result(job_id, wait))
+        ahead = asyncio.ensure_future(_readline(self._connections[task]))
+        try:
+            await asyncio.wait(
+                (poll, released, ahead), return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            self._long_polls.pop(task, None)
+            for pending in (poll, ahead):
+                pending.cancel()
+            await asyncio.gather(poll, ahead, return_exceptions=True)
+        if not ahead.cancelled():
+            if ahead.exception() is None and ahead.result():
+                self._read_ahead[task] = ahead.result()
+            else:  # the client hung up, or sent a line past the limit
+                self._evicted.add(task)
+        if not poll.cancelled():
+            return poll.result()
+        return await self._result(job_id, 0.0)
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        try:
+            refusal = self._admit(task, reader)
+            if refusal is not None:
+                await _close_after(reader, writer, refusal)
+                return
+            answered = False
+            while True:
+                line = self._read_ahead.pop(task, None)
+                if line is None:
+                    self._idle[task] = answered
+                    try:
+                        line = await asyncio.wait_for(
+                            _readline(reader), IDLE_TIMEOUT_S
+                        )
+                    except asyncio.TimeoutError:
+                        return  # idle past the timeout
+                    except _HttpError as exc:
+                        await _close_after(
+                            reader, writer, _response(exc.status, {"error": exc.message})
+                        )
+                        return
+                self._idle.pop(task, None)
+                if not line:
+                    return  # the client closed the connection
+                keep_alive, status, payload, headers = await self._answer(
+                    reader, line
+                )
+                keep_alive = (
+                    keep_alive and not self._closing and task not in self._evicted
+                )
+                self.requests_served += 1
+                response = _response(status, payload, headers, keep_alive=keep_alive)
+                if not keep_alive:
+                    await _close_after(reader, writer, response)
+                    return
+                writer.write(response)
+                await writer.drain()
+                answered = True
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass  # the client went away
+        except asyncio.CancelledError:
+            # Only close() and _admit cancel a connection's own task, and
+            # nothing awaits it but close(); ending normally keeps Python
+            # 3.11's start_server callback from logging the cancellation.
+            pass
+        finally:
+            self._connections.pop(task, None)
+            self._idle.pop(task, None)
+            self._evicted.discard(task)
+            self._read_ahead.pop(task, None)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:
+                pass
+
+    async def _answer(
+        self, reader: asyncio.StreamReader, line: bytes
+    ) -> Tuple[bool, int, Any, Dict[str, str]]:
+        """Read and route one request: ``(keep_alive, status, payload,
+        headers)``.  A request that could not be framed closes its
+        connection."""
+        try:
+            request = await asyncio.wait_for(
+                _read_request(reader, line), REQUEST_DEADLINE_S
+            )
+        except asyncio.TimeoutError:
+            return False, 408, {"error": "request not received in time"}, {}
+        except _HttpError as exc:
+            return False, exc.status, {"error": exc.message, **exc.extra}, {}
+        try:
+            status, payload, headers = await self._route(
+                request.method, request.target, request.body, request.headers
+            )
+        except _HttpError as exc:
+            status, payload, headers = (
+                exc.status,
+                {"error": exc.message, **exc.extra},
+                exc.headers,
+            )
+        except Exception as exc:  # never leak a traceback to the socket
+            status, payload, headers = 500, {
+                "error": f"{type(exc).__name__}: {exc}"
+            }, {}
+        return request.keep_alive, status, payload, headers
+
+
+class SolveServer(HttpFrontEnd):
     """The HTTP server wrapping one :class:`SolveService`."""
 
     def __init__(
@@ -203,16 +603,9 @@ class SolveServer:
         host: str = "127.0.0.1",
         port: int = 8787,
     ) -> None:
+        super().__init__(host=host, port=port)
         self.service = service
         self.fronts = FrontStore(service)
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should target."""
-        return f"http://{self.host}:{self.port}"
 
     async def start(self) -> None:
         """Start the queue workers and bind the listening socket.
@@ -221,110 +614,19 @@ class SolveServer:
         :attr:`port` afterwards.
         """
         await self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
 
     async def close(self, *, drain_queue: bool = False) -> None:
-        """Stop accepting connections and shut the queue down
-        gracefully (see :meth:`SolveService.shutdown`)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, close idle connections and shut the queue down
+        gracefully (:meth:`SolveService.shutdown`); open long-polls
+        answer as their jobs finish or are cancelled."""
+        await self._stop_listening()
         await self.service.shutdown(drain_queue=drain_queue)
+        await self._close_connections()
 
     # ------------------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                method, target, req_headers, body = await _read_request(
-                    reader
-                )
-                status, payload = self._route(
-                    method, target, body, req_headers
-                )
-                headers: Dict[str, str] = {}
-            except _HttpError as exc:
-                status, payload, headers = (
-                    exc.status,
-                    {"error": exc.message, **exc.extra},
-                    exc.headers,
-                )
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except Exception as exc:  # never leak a traceback to the socket
-                status, payload, headers = 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }, {}
-            writer.write(_response(status, payload, headers))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # client went away
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    def _route(
-        self,
-        method: str,
-        target: str,
-        body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        split = urlsplit(target)
-        parts = [p for p in split.path.split("/") if p]
-        query = parse_qs(split.query)
-        if parts == ["metrics"]:
-            # Prometheus scrape target: text exposition rendered from
-            # the same payload GET /v1/metrics serves as JSON.
-            self._expect(method, "GET")
-            return 200, _PlainText(to_prometheus(self.service.metrics()))
-        if parts[:1] != ["v1"]:
-            raise _HttpError(404, f"unknown path {split.path!r}")
-        rest = parts[1:]
-        if rest == ["healthz"]:
-            self._expect(method, "GET")
-            return 200, self._healthz()
-        if rest == ["metrics"]:
-            self._expect(method, "GET")
-            return 200, self.service.metrics()
-        if len(rest) == 2 and rest[0] == "traces":
-            self._expect(method, "GET")
-            return 200, self._trace(rest[1])
-        if rest == ["jobs"]:
-            if method == "POST":
-                return self._submit(body, headers or {})
-            self._expect(method, "GET")
-            return 200, self._list_jobs(query)
-        if len(rest) == 2 and rest[0] == "jobs":
-            job_id = rest[1]
-            if method == "DELETE":
-                return self._cancel(job_id)
-            self._expect(method, "GET")
-            return 200, job_to_dict(self._job(job_id))
-        if len(rest) == 3 and rest[:1] == ["jobs"] and rest[2] == "result":
-            self._expect(method, "GET")
-            return self._result(rest[1])
-        if rest == ["fronts"]:
-            self._expect(method, "POST")
-            return self._submit_front(body)
-        if len(rest) == 2 and rest[0] == "fronts":
-            self._expect(method, "GET")
-            return 200, self._front(rest[1]).to_dict()
-        raise _HttpError(404, f"unknown path {split.path!r}")
-
-    @staticmethod
-    def _expect(method: str, expected: str) -> None:
-        if method != expected:
-            raise _HttpError(405, f"method {method} not allowed here")
-
+    # handlers (dispatched by HttpFrontEnd._route)
+    # ------------------------------------------------------------------
     def _healthz(self) -> Dict[str, Any]:
         return {
             "status": "ok",
@@ -334,13 +636,16 @@ class SolveServer:
             "concurrency": self.service.concurrency,
         }
 
+    async def _metrics(self) -> Dict[str, Any]:
+        return self.service.metrics()
+
     def _job(self, job_id: str):
         try:
             return self.service.job(job_id)
         except UnknownJobError as exc:
             raise _HttpError(404, str(exc)) from None
 
-    def _trace(self, trace_id: str) -> Dict[str, Any]:
+    async def _trace(self, trace_id: str) -> Dict[str, Any]:
         spans = obs_spans.recorder().spans_for(trace_id)
         if not spans:
             raise _HttpError(
@@ -389,80 +694,42 @@ class SolveServer:
                 )
         return trace_id, parent_id
 
-    def _submit(
-        self, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, Dict[str, Any]]:
-        try:
-            payload = json.loads(body.decode() or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}") from None
-        try:
-            problem, solver, priority = parse_job_payload(payload)
-        except ProtocolError as exc:
-            raise _HttpError(400, str(exc)) from None
+    async def _submit(self, body: bytes, headers: Dict[str, str]) -> _Answer:
+        problem, solver, priority = _parse_body(body, parse_job_payload)
         trace_id, parent_id = self._trace_headers(headers)
-        try:
-            with obs_spans.trace_context(trace_id, parent_id):
-                with obs_spans.span(
-                    "daemon.submit", shard=self.service.shard
-                ):
-                    job = self.service.submit(
-                        problem, solver, priority=priority
-                    )
-        except ServiceClosedError as exc:
-            raise _HttpError(503, str(exc)) from None
-        except ServiceOverloadedError as exc:
-            # Shed: nothing was queued.  The header carries the
-            # integer-seconds form (HTTP delta-seconds); the JSON body
-            # keeps the precise float for richer clients.
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={
-                    "Retry-After": str(max(1, math.ceil(exc.retry_after)))
-                },
-                extra={"retry_after": exc.retry_after},
-            ) from None
-        # 200 when the cache answered instantly, 202 while work is pending.
-        return (200 if job.state.finished else 202), job_to_dict(job)
+        with _admission(), obs_spans.trace_context(trace_id, parent_id):
+            with obs_spans.span("daemon.submit", shard=self.service.shard):
+                job = self.service.submit(problem, solver, priority=priority)
+        view = job_to_dict(job)
+        if not job.state.finished:
+            return 202, view, {}
+        # Born done (a cache hit): answer with the result inline, so the
+        # client needs no further request.
+        view["result"] = result_to_dict(job)
+        return 200, view, {}
 
-    def _front(self, front_id: str):
+    async def _front_request(self, front_id: str) -> _Answer:
         try:
-            return self.fronts.front(front_id)
+            return 200, self.fronts.front(front_id).to_dict(), {}
         except UnknownJobError as exc:
             raise _HttpError(404, str(exc)) from None
 
-    def _submit_front(self, body: bytes) -> Tuple[int, Dict[str, Any]]:
-        try:
-            payload = json.loads(body.decode() or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}") from None
-        try:
-            problem, template, points, priority = parse_front_payload(payload)
-        except ProtocolError as exc:
-            raise _HttpError(400, str(exc)) from None
-        try:
+    async def _submit_front(self, body: bytes) -> _Answer:
+        problem, template, points, priority = _parse_body(
+            body, parse_front_payload
+        )
+        with _admission():
             record = self.fronts.submit(
                 problem,
                 template=template,
                 max_points=points,
                 priority=priority,
             )
-        except ServiceClosedError as exc:
-            raise _HttpError(503, str(exc)) from None
-        except ServiceOverloadedError as exc:
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={
-                    "Retry-After": str(max(1, math.ceil(exc.retry_after)))
-                },
-                extra={"retry_after": exc.retry_after},
-            ) from None
         # 200 when every cell was served from cache, 202 while pending.
-        return (200 if record.finished else 202), record.to_dict()
+        return (200 if record.finished else 202), record.to_dict(), {}
 
-    def _list_jobs(self, query: Dict[str, Any]) -> Dict[str, Any]:
+    async def _list_jobs(self, raw_query: str) -> Dict[str, Any]:
+        query = parse_qs(raw_query)
         state: Optional[JobState] = None
         if "state" in query:
             try:
@@ -482,23 +749,33 @@ class SolveServer:
         jobs = self.service.jobs(state=state, limit=limit)
         return {"jobs": [job_to_dict(j) for j in jobs], "count": len(jobs)}
 
-    def _cancel(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
+    async def _job_request(self, method: str, job_id: str) -> _Answer:
         job = self._job(job_id)
+        if method == "GET":
+            return 200, job_to_dict(job), {}
         cancelled = self.service.cancel(job_id)
         return 200, {
             "id": job.id,
             "cancelled": cancelled,
             "state": job.state.value,
-        }
+        }, {}
 
-    def _result(self, job_id: str) -> Tuple[int, Dict[str, Any]]:
+    async def _result(self, job_id: str, wait: Optional[float]) -> _Answer:
+        """A finished job's result; an unfinished one is ``409``, or with
+        ``wait``, ``202`` and its status view after waiting up to
+        ``wait`` seconds on its completion event."""
         job = self._job(job_id)
+        if wait is not None:
+            try:
+                await self.service.wait(job_id, timeout=wait)
+            except asyncio.TimeoutError:
+                return 202, job_to_dict(job), {}
         payload = result_to_dict(job)
         if payload is None:
             raise _HttpError(
                 409, f"job {job_id} is {job.state.value}, not finished"
             )
-        return 200, payload
+        return 200, payload, {}
 
 
 async def serve(
@@ -521,16 +798,13 @@ async def serve(
     return server
 
 
-def run_server(
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8787,
-    **kwargs: Any,
+async def _serve_until_signalled(
+    front: "HttpFrontEnd", banner: str, farewell: str
 ) -> None:
-    """Blocking entry point used by ``repro-pipelines serve``: run until
-    SIGINT/SIGTERM (or Ctrl-C), then drain in-flight work and exit.
+    """Print ``banner``, serve until SIGINT/SIGTERM, print ``farewell``
+    and close ``front``.
 
-    Signal handlers are installed explicitly on the loop: a daemon
+    Signal handlers are installed explicitly on the loop: a process
     started in the background of a shell script inherits ``SIG_IGN``
     for SIGINT (and asyncio only overrides the *default* handler), and
     process supervisors stop services with SIGTERM — both must still
@@ -538,30 +812,43 @@ def run_server(
     """
     import signal
 
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    handled = []
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(sig, stop.set)
+            handled.append(sig)
+        except (NotImplementedError, RuntimeError):  # pragma: no cover
+            pass  # non-main thread / unsupported platform
+    print(banner, flush=True)
+    try:
+        await stop.wait()
+        print(farewell, flush=True)
+    finally:
+        for sig in handled:
+            loop.remove_signal_handler(sig)
+        await front.close()
+
+
+def run_server(
+    *,
+    host: str = "127.0.0.1",
+    port: int = 8787,
+    **kwargs: Any,
+) -> None:
+    """Blocking entry point used by ``repro-pipelines serve``: run until
+    SIGINT/SIGTERM (or Ctrl-C), then drain in-flight work and exit."""
+
     async def _main() -> None:
         server = await serve(host=host, port=port, **kwargs)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        handled = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                handled.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-main thread / unsupported platform
-        print(
+        await _serve_until_signalled(
+            server,
             f"repro-pipelines solve service v{__version__} "
             f"listening on {server.url} "
             f"(concurrency={server.service.concurrency})",
-            flush=True,
+            "shutting down (draining in-flight work)",
         )
-        try:
-            await stop.wait()
-            print("shutting down (draining in-flight work)", flush=True)
-        finally:
-            for sig in handled:
-                loop.remove_signal_handler(sig)
-            await server.close()
 
     try:
         asyncio.run(_main())
@@ -569,61 +856,62 @@ def run_server(
         print("shutting down", flush=True)
 
 
-class ServerThread:
-    """Host a :class:`SolveServer` on a background thread.
+class _FrontEndThread:
+    """Host an :class:`HttpFrontEnd` on a background thread.
 
     The thread runs its own event loop; :meth:`start` blocks until the
-    socket is bound (so :attr:`url` is valid), :meth:`stop` drains
-    in-flight work and joins the thread.  Usable as a context manager —
-    this is how the test suite and :mod:`benchmarks.bench_server` embed
-    a live daemon in-process.
+    socket is bound (so :attr:`url` is valid), :meth:`stop` closes the
+    front end and joins the thread.  Usable as a context manager.
     """
 
-    def __init__(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **serve_kwargs: Any,
-    ) -> None:
-        self._host = host
-        self._port = port
-        self._serve_kwargs = serve_kwargs
+    _role = "server"
+
+    def __init__(self, factory: Callable[[], Awaitable["HttpFrontEnd"]]) -> None:
+        self._factory = factory
         self._ready = threading.Event()
         self._stop: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._startup_error: Optional[BaseException] = None
-        self.server: Optional[SolveServer] = None
+        self._front: Optional[HttpFrontEnd] = None
 
     @property
     def url(self) -> str:
-        """Base URL of the running server."""
-        assert self.server is not None, "server not started"
-        return self.server.url
+        """Base URL of the running front end."""
+        assert self._front is not None, f"{self._role} not started"
+        return self._front.url
 
-    def start(self, timeout: float = 30.0) -> "ServerThread":
+    def start(self, timeout: float = 30.0) -> Any:
         """Launch the thread and wait for the socket to be bound."""
         self._thread = threading.Thread(
-            target=self._run, name="solve-server", daemon=True
+            target=self._run, name=f"{self._role}-thread", daemon=True
         )
         self._thread.start()
         if not self._ready.wait(timeout):
-            raise RuntimeError("server thread did not start in time")
+            raise RuntimeError(f"{self._role} thread did not start in time")
         if self._startup_error is not None:
             raise RuntimeError(
-                f"server failed to start: {self._startup_error}"
+                f"{self._role} failed to start: {self._startup_error}"
             ) from self._startup_error
         return self
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Request shutdown (draining in-flight work) and join."""
+        """Request shutdown and join."""
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
         if self._thread is not None:
             self._thread.join(timeout)
 
-    def __enter__(self) -> "ServerThread":
+    def run_sync(self, coro_factory: Callable[[Any], Awaitable[Any]]) -> Any:
+        """Run ``coro_factory(front_end)`` on the thread's loop (tests
+        use this to reach into a live router or daemon)."""
+        assert self._loop is not None and self._front is not None
+        future = asyncio.run_coroutine_threadsafe(
+            coro_factory(self._front), self._loop
+        )
+        return future.result(timeout=30.0)
+
+    def __enter__(self) -> Any:
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -636,13 +924,33 @@ class ServerThread:
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         try:
-            self.server = await serve(
-                host=self._host, port=self._port, **self._serve_kwargs
-            )
+            self._front = await self._factory()
         except BaseException as exc:
             self._startup_error = exc
             self._ready.set()
             return
         self._ready.set()
         await self._stop.wait()
-        await self.server.close()
+        await self._front.close()
+
+
+class ServerThread(_FrontEndThread):
+    """Host a :class:`SolveServer` on a background thread; :meth:`stop`
+    drains in-flight work.  This is how the test suite and
+    :mod:`benchmarks.bench_server` embed a live daemon in-process."""
+
+    def __init__(
+        self,
+        *,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        **serve_kwargs: Any,
+    ) -> None:
+        super().__init__(
+            lambda: serve(host=host, port=port, **serve_kwargs)
+        )
+
+    @property
+    def server(self) -> Optional[SolveServer]:
+        """The running :class:`SolveServer`."""
+        return self._front  # type: ignore[return-value]

@@ -17,6 +17,7 @@ the results cache is born ``DONE``.
 
 from __future__ import annotations
 
+import asyncio
 import secrets
 import time
 from dataclasses import dataclass, field
@@ -182,6 +183,18 @@ class JobRecord:
     submitted_mono: float = field(default_factory=time.monotonic)
     started_mono: Optional[float] = None
     finished_mono: Optional[float] = None
+    #: Made by the first :meth:`finished` call (on the serving loop) and
+    #: set on the terminal transition (:meth:`resolve` or :meth:`cancel`).
+    _done: Optional[asyncio.Event] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    async def finished(self) -> None:
+        """Return once the job is in a terminal state."""
+        if not self.state.finished:
+            if self._done is None:
+                self._done = asyncio.Event()
+            await self._done.wait()
 
     def request_summary(self) -> Dict[str, Any]:
         """Compact description of what was submitted (for listings)."""
@@ -225,9 +238,13 @@ class JobRecord:
         self.state = JobState.DONE
         self.finished_at = time.time()
         self.finished_mono = time.monotonic()
+        if self._done is not None:
+            self._done.set()
 
     def cancel(self) -> None:
         """Terminal transition into CANCELLED (queued jobs only)."""
         self.state = JobState.CANCELLED
         self.finished_at = time.time()
         self.finished_mono = time.monotonic()
+        if self._done is not None:
+            self._done.set()

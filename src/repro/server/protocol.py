@@ -30,7 +30,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..core.exceptions import ReproError
 from ..core.problem import ProblemInstance
 from ..experiments.spec import CampaignSpecError, SolverSpec
-from ..io import SerializationError, problem_from_dict, solution_to_dict
+from ..io import problem_from_dict, solution_to_dict
 from .jobs import JobRecord
 
 __all__ = [
@@ -48,6 +48,11 @@ DEFAULT_SOLVER_NAME = "request"
 
 class ProtocolError(ReproError):
     """A malformed request payload (maps to HTTP 400)."""
+
+
+#: What :func:`repro.io.problem_from_dict` raises on a malformed problem
+#: (a wrong type deep in the payload is not a ``SerializationError``).
+_PROBLEM_ERRORS = (ReproError, AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 def parse_job_payload(
@@ -71,7 +76,7 @@ def parse_job_payload(
         raise ProtocolError("missing required key 'problem'")
     try:
         problem = problem_from_dict(payload["problem"])
-    except (SerializationError, ReproError, TypeError, KeyError) as exc:
+    except _PROBLEM_ERRORS as exc:
         raise ProtocolError(f"invalid 'problem': {exc}") from None
     solver_raw = payload.get("solver") or {}
     if not isinstance(solver_raw, dict):
@@ -122,7 +127,7 @@ def parse_front_payload(
         raise ProtocolError("missing required key 'problem'")
     try:
         problem = problem_from_dict(payload["problem"])
-    except (SerializationError, ReproError, TypeError, KeyError) as exc:
+    except _PROBLEM_ERRORS as exc:
         raise ProtocolError(f"invalid 'problem': {exc}") from None
     template = payload.get("solver") or {}
     if not isinstance(template, dict):

@@ -41,39 +41,42 @@ job counters); ``GET /v1/jobs`` merges the shards' listings.  With
 ``redirect_results=True`` the router answers result fetches with a
 ``307`` redirect to the owning shard instead of proxying the payload
 bytes through itself.
+
+Transport: the router serves clients on the daemon's own keep-alive
+connection loop (:class:`~repro.server.http.HttpFrontEnd`) and forwards
+over asyncio streams, keeping up to :data:`POOL_IDLE` idle keep-alive
+connections per shard.  A long-poll (``GET /v1/jobs/{id}/result?wait=S``)
+is forwarded as is, with the upstream timeout stretched by ``S``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import re
 import subprocess
 import sys
-import threading
 import time
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlsplit
 
 from .. import __version__
 from ..experiments.cache import cell_key
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
-from ..obs.export import to_prometheus
 from .http import (
+    HttpFrontEnd,
     SolveServer,
+    _FrontEndThread,
+    _Answer,
     _HttpError,
-    _PlainText,
-    _read_request,
-    _response,
+    _parse_body,
+    _read_message,
+    _serve_until_signalled,
 )
-from .protocol import ProtocolError, parse_front_payload, parse_job_payload
+from .protocol import parse_front_payload, parse_job_payload
 from .ring import DEFAULT_VNODES, HashRing
 
 __all__ = [
@@ -161,7 +164,83 @@ class _UpstreamError(Exception):
     """A shard could not be reached (connect failure or timeout)."""
 
 
-class ShardRouter:
+#: Idle keep-alive connections the router keeps per shard.  More may be
+#: open at once under load; past this many, a finished one is closed.
+POOL_IDLE = 8
+
+_Stream = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
+class _ShardConnections:
+    """Keep-alive HTTP/1.1 connections from the router to one shard."""
+
+    def __init__(self, url: str) -> None:
+        parts = urlsplit(url)
+        self._prefix = parts.path.rstrip("/")
+        self._netloc = parts.netloc
+        self._host = parts.hostname
+        self._ssl = parts.scheme == "https"
+        self._port = parts.port or (443 if self._ssl else 80)
+        self._idle: List[_Stream] = []
+
+    async def request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[bytes],
+        headers: Optional[Dict[str, str]],
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        """One exchange: ``(status, lower-cased headers, body)``.  A
+        pooled connection the shard closed while idle is retried once on
+        a fresh one (the shard deduplicates submissions); any exception,
+        cancellation included, closes the connection in use."""
+        body = body or b""
+        extra = "".join(f"{k}: {v}\r\n" for k, v in (headers or {}).items())
+        message = (
+            f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+            f"Host: {self._netloc}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"{extra}\r\n"
+        ).encode() + body
+        while True:
+            reused = bool(self._idle)
+            if reused:
+                reader, writer = self._idle.pop()
+            else:
+                reader, writer = await asyncio.open_connection(
+                    self._host, self._port, ssl=self._ssl or None
+                )
+            try:
+                writer.write(message)
+                status_line = await reader.readline()
+                if not status_line:
+                    raise ConnectionResetError("shard closed the connection")
+                version, status, _ = status_line.decode("latin-1").split(" ", 2)
+                resp_headers, data = await _read_message(reader)
+            except BaseException as exc:
+                writer.close()
+                if reused and isinstance(exc, ConnectionError):
+                    self.close()  # the rest of the idle pool is as old
+                    continue
+                raise
+            if (
+                version == "HTTP/1.1"
+                and resp_headers.get("connection", "").lower() != "close"
+                and len(self._idle) < POOL_IDLE
+            ):
+                self._idle.append((reader, writer))
+            else:
+                writer.close()
+            return int(status), resp_headers, data
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        while self._idle:
+            self._idle.pop()[1].close()
+
+
+class ShardRouter(HttpFrontEnd):
     """Routing core + HTTP front end over a fleet of solve daemons.
 
     Parameters
@@ -180,8 +259,8 @@ class ShardRouter:
     fail_threshold:
         Consecutive probe/forward failures that mark a shard down.
     upstream_timeout:
-        Socket timeout for forwarded requests (health probes use
-        ``min(2.0, upstream_timeout)``).
+        Seconds one forwarded exchange may take (health probes use
+        ``min(2.0, upstream_timeout)``; a long-poll adds its ``wait``).
     redirect_results:
         Answer ``GET /v1/jobs/{id}/result`` with a ``307`` to the
         owning shard instead of proxying the payload.
@@ -202,6 +281,7 @@ class ShardRouter:
         host: str = "127.0.0.1",
         port: int = 8786,
     ) -> None:
+        super().__init__(host=host, port=port)
         if not shards:
             raise ValueError("router needs at least one shard")
         names = [name for name, _ in shards]
@@ -217,14 +297,9 @@ class ShardRouter:
         self.fail_threshold = max(1, fail_threshold)
         self.upstream_timeout = upstream_timeout
         self.redirect_results = redirect_results
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.base_events.Server] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(4, 2 * len(shards)),
-            thread_name_prefix="router-upstream",
-        )
+        #: Connection pools by shard URL, made on first use.
+        self._upstreams: Dict[str, _ShardConnections] = {}
         self._started_at = time.time()
         self._started_mono = time.monotonic()
         self._counters = {
@@ -247,26 +322,20 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def url(self) -> str:
-        """Base URL clients should target."""
-        return f"http://{self.host}:{self.port}"
-
     async def start(self) -> None:
         """Bind the listening socket and launch the health loop."""
         self._started_at = time.time()
         self._started_mono = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         self._health_task = asyncio.create_task(
             self._health_loop(), name="router-health"
         )
 
     async def close(self) -> None:
-        """Stop accepting connections; spawned shards are left to the
-        owner (see :func:`run_router` for the CLI's teardown)."""
+        """Stop accepting connections, close client and shard
+        connections; spawned shards are left to the owner (see
+        :func:`run_router` for the CLI's teardown)."""
+        await self._stop_listening()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -274,11 +343,9 @@ class ShardRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        self._pool.shutdown(wait=False)
+        await self._close_connections()
+        for upstream in self._upstreams.values():
+            upstream.close()
 
     # ------------------------------------------------------------------
     # health
@@ -300,11 +367,8 @@ class ShardRouter:
             self._counters["markups"] += 1
 
     async def _health_loop(self) -> None:
-        probe_timeout = min(2.0, self.upstream_timeout)
         while True:
-            await asyncio.gather(
-                *(self._probe(s, probe_timeout) for s in self.shards.values())
-            )
+            await self.check_health()
             await asyncio.sleep(self.health_interval)
 
     async def _probe(self, shard: Shard, timeout: float) -> None:
@@ -331,39 +395,6 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # upstream transport
     # ------------------------------------------------------------------
-    def _forward_blocking(
-        self,
-        url: str,
-        method: str,
-        body: Optional[bytes],
-        timeout: float,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
-        request = urllib.request.Request(
-            url,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
-                payload = json.loads(resp.read().decode() or "{}")
-                return resp.status, dict(resp.headers.items()), payload
-        except urllib.error.HTTPError as exc:
-            # An HTTP status from a *live* shard: pass it upward as data.
-            try:
-                payload = json.loads(exc.read().decode() or "{}")
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                payload = {"error": str(exc)}
-            return exc.code, dict(exc.headers.items()), payload
-        except (
-            urllib.error.URLError,
-            ConnectionError,
-            TimeoutError,
-            OSError,
-        ) as exc:
-            raise _UpstreamError(f"{method} {url}: {exc}") from None
-
     async def _forward(
         self,
         shard: Shard,
@@ -375,23 +406,31 @@ class ShardRouter:
         count: bool = True,
         headers: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
-        loop = asyncio.get_running_loop()
+        """``(status, lower-cased headers, JSON body)`` of one request to
+        ``shard``; :class:`_UpstreamError` when it is unreachable or
+        silent past ``timeout`` (default ``upstream_timeout``)."""
         if count:
             self._counters["forwarded"] += 1
             shard.forwarded += 1
         t0 = time.perf_counter()
+        upstream = self._upstreams.get(shard.url)
+        if upstream is None:
+            upstream = self._upstreams[shard.url] = _ShardConnections(shard.url)
         try:
-            return await loop.run_in_executor(
-                self._pool,
-                functools.partial(
-                    self._forward_blocking,
-                    f"{shard.url}{path}",
-                    method,
-                    body,
-                    self.upstream_timeout if timeout is None else timeout,
-                    headers,
-                ),
+            status, resp_headers, data = await asyncio.wait_for(
+                upstream.request(method, path, body, headers),
+                self.upstream_timeout if timeout is None else timeout,
             )
+        except (OSError, ValueError, _HttpError, asyncio.TimeoutError) as exc:
+            raise _UpstreamError(
+                f"{method} {shard.url}{path}: {exc or type(exc).__name__}"
+            ) from None
+        else:
+            try:
+                payload = json.loads(data.decode() or "{}")
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                payload = {"error": f"HTTP {status}: undecodable body"}
+            return status, resp_headers, payload
         finally:
             # Health probes (count=False) stay out of the hop-latency
             # histogram — they would flood it with sub-ms samples.
@@ -422,124 +461,33 @@ class ShardRouter:
         """The ring owner of a key, health ignored."""
         return self.shards[self.ring.node_for(key)]
 
-    async def _submit(
-        self, body: bytes, req_headers: Optional[Dict[str, str]] = None
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        try:
-            payload = json.loads(body.decode() or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}") from None
-        try:
-            problem, solver, _priority = parse_job_payload(payload)
-        except ProtocolError as exc:
-            raise _HttpError(400, str(exc)) from None
-        key = cell_key(problem, solver.to_dict())
+    async def _forward_by_key(
+        self,
+        key: str,
+        path: str,
+        body: bytes,
+        headers: Optional[Dict[str, str]],
+        tried: List[str],
+        rewrite: Callable[[Dict[str, Any], str], Dict[str, Any]],
+    ) -> _Answer:
+        """POST a submission to the first of ``key``'s candidate shards
+        that takes it, appending every shard tried to ``tried``.
+
+        A connect failure marks the shard down at once and a ``429``
+        is remembered; either way the next replica is tried (dedup
+        keeps this idempotent).  Accepted answers get ``rewrite``'s id
+        rewrite; other statuses pass through.  When every candidate
+        shed, the last ``429`` (``Retry-After`` included) is relayed;
+        when none was reachable, ``503``."""
         self._counters["submitted"] += 1
-
-        # The router is the client's first hop: it records the
-        # ``client.submit`` root span (consuming X-Repro-Client-Send)
-        # and forwards only trace id + its own routing span as the
-        # parent, so the daemon's spans nest under ``router.submit``.
-        trace_id, parent_id = SolveServer._trace_headers(req_headers or {})
-        route_span_id = (
-            obs_spans.new_span_id() if trace_id is not None else None
-        )
-        fwd_headers: Optional[Dict[str, str]] = None
-        if trace_id is not None:
-            fwd_headers = {
-                obs_spans.TRACE_HEADER: trace_id,
-                obs_spans.PARENT_HEADER: route_span_id,
-            }
-        route_wall = time.time()
-        route_t0 = time.perf_counter()
-        routed_to: Optional[str] = None
-
         shed: Optional[Tuple[int, Dict[str, str], Dict[str, Any]]] = None
-        tried: List[str] = []
-        try:
-            for hop, shard in enumerate(self.candidates_for(key)):
-                if hop:
-                    self._counters["retries"] += 1
-                tried.append(shard.name)
-                try:
-                    status, headers, resp = await self._forward(
-                        shard, "POST", "/v1/jobs", body, headers=fwd_headers
-                    )
-                except _UpstreamError as exc:
-                    # Connect failure: this shard is gone right now — mark
-                    # it down immediately (the health loop marks it back
-                    # up).
-                    shard.consecutive_failures = max(
-                        shard.consecutive_failures, self.fail_threshold - 1
-                    )
-                    self._mark_down(shard, str(exc))
-                    continue
-                self._mark_up(shard)
-                if status == 429:
-                    # Shed by this shard's bounded queue: remember the
-                    # hint, try the next replica (dedup keeps this
-                    # idempotent).
-                    shed = (status, headers, resp)
-                    continue
-                if status in (200, 202):
-                    routed_to = shard.name
-                    return status, self._rewrite_job(resp, shard.name), {}
-                routed_to = shard.name
-                return status, resp, {}  # validation errors pass through
-            if shed is not None:
-                self._counters["relayed_429"] += 1
-                status, headers, resp = shed
-                out_headers = {}
-                if headers.get("Retry-After"):
-                    out_headers["Retry-After"] = headers["Retry-After"]
-                resp.setdefault("tried", tried)
-                return status, resp, out_headers
-            self._counters["unroutable"] += 1
-            raise _HttpError(
-                503,
-                f"no shard reachable for this key (tried {tried})",
-                extra={"tried": tried},
-            )
-        finally:
-            if route_span_id is not None:
-                obs_spans.record_span(
-                    "router.submit",
-                    start=route_wall,
-                    duration=time.perf_counter() - route_t0,
-                    trace_id=trace_id,
-                    parent_id=parent_id,
-                    span_id=route_span_id,
-                    shard=routed_to,
-                    tried=",".join(tried),
-                )
-
-    async def _submit_front(
-        self, body: bytes
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        try:
-            payload = json.loads(body.decode() or "null")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpError(400, f"invalid JSON body: {exc}") from None
-        try:
-            problem, _template, _points, _priority = parse_front_payload(
-                payload
-            )
-        except ProtocolError as exc:
-            raise _HttpError(400, str(exc)) from None
-        # Instance-only affinity: every front over the same problem owns
-        # the same shard, so sweep cells coalesce across fronts there.
-        key = cell_key(problem, {"front": True})
-        self._counters["submitted"] += 1
-
-        shed: Optional[Tuple[int, Dict[str, str], Dict[str, Any]]] = None
-        tried: List[str] = []
         for hop, shard in enumerate(self.candidates_for(key)):
             if hop:
                 self._counters["retries"] += 1
             tried.append(shard.name)
             try:
-                status, headers, resp = await self._forward(
-                    shard, "POST", "/v1/fronts", body
+                status, resp_headers, resp = await self._forward(
+                    shard, "POST", path, body, headers=headers
                 )
             except _UpstreamError as exc:
                 shard.consecutive_failures = max(
@@ -549,17 +497,17 @@ class ShardRouter:
                 continue
             self._mark_up(shard)
             if status == 429:
-                shed = (status, headers, resp)
+                shed = (status, resp_headers, resp)
                 continue
             if status in (200, 202):
-                return status, self._rewrite_front(resp, shard.name), {}
-            return status, resp, {}  # validation errors etc. pass through
+                resp = rewrite(resp, shard.name)
+            return status, resp, {}
         if shed is not None:
             self._counters["relayed_429"] += 1
-            status, headers, resp = shed
+            status, resp_headers, resp = shed
             out_headers = {}
-            if headers.get("Retry-After"):
-                out_headers["Retry-After"] = headers["Retry-After"]
+            if resp_headers.get("retry-after"):
+                out_headers["Retry-After"] = resp_headers["retry-after"]
             resp.setdefault("tried", tried)
             return status, resp, out_headers
         self._counters["unroutable"] += 1
@@ -569,103 +517,162 @@ class ShardRouter:
             extra={"tried": tried},
         )
 
-    async def _front_request(
-        self, front_id: str
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        raw, shard_name = split_job_id(front_id)
+    async def _submit(
+        self, body: bytes, req_headers: Dict[str, str]
+    ) -> _Answer:
+        problem, solver, _priority = _parse_body(body, parse_job_payload)
+        key = cell_key(problem, solver.to_dict())
+
+        # The router is the client's first hop: it records the
+        # ``client.submit`` root span (consuming X-Repro-Client-Send)
+        # and forwards only trace id + its own routing span as the
+        # parent, so the daemon's spans nest under ``router.submit``.
+        trace_id, parent_id = SolveServer._trace_headers(req_headers)
+        if trace_id is None:
+            return await self._forward_by_key(
+                key, "/v1/jobs", body, None, [], self._rewrite_job
+            )
+        route_span_id = obs_spans.new_span_id()
+        fwd_headers = {
+            obs_spans.TRACE_HEADER: trace_id,
+            obs_spans.PARENT_HEADER: route_span_id,
+        }
+        route_wall = time.time()
+        route_t0 = time.perf_counter()
+        routed_to: Optional[str] = None
+        tried: List[str] = []
+        try:
+            answer = await self._forward_by_key(
+                key, "/v1/jobs", body, fwd_headers, tried, self._rewrite_job
+            )
+            if answer[0] != 429:
+                routed_to = tried[-1]
+            return answer
+        finally:
+            obs_spans.record_span(
+                "router.submit",
+                start=route_wall,
+                duration=time.perf_counter() - route_t0,
+                trace_id=trace_id,
+                parent_id=parent_id,
+                span_id=route_span_id,
+                shard=routed_to,
+                tried=",".join(tried),
+            )
+
+    async def _submit_front(
+        self, body: bytes
+    ) -> _Answer:
+        problem, _template, _points, _priority = _parse_body(
+            body, parse_front_payload
+        )
+        # Instance-only affinity: every front over the same problem owns
+        # the same shard, so sweep cells coalesce across fronts there.
+        key = cell_key(problem, {"front": True})
+        return await self._forward_by_key(
+            key, "/v1/fronts", body, None, [], self._rewrite_front
+        )
+
+    def _owner(self, kind: str, routed_id: str) -> Tuple[str, Shard]:
+        """``(shard-local id, owning shard)`` of a routed job or front
+        id (``kind`` is ``"job"`` or ``"front"``); ``404`` when the id
+        names no known shard."""
+        raw, shard_name = split_job_id(routed_id)
         if shard_name is None:
             raise _HttpError(
                 404,
-                f"front id {front_id!r} carries no shard suffix; the "
+                f"{kind} id {routed_id!r} carries no shard suffix; the "
                 "router only resolves ids it issued (<id>@<shard>)",
             )
         shard = self.shards.get(shard_name)
         if shard is None:
             raise _HttpError(
-                404, f"unknown shard {shard_name!r} in front id {front_id!r}"
-            )
-        try:
-            status, _headers, resp = await self._forward(
-                shard, "GET", f"/v1/fronts/{raw}"
-            )
-        except _UpstreamError as exc:
-            self._mark_down(shard, str(exc))
-            raise _HttpError(
-                503,
-                f"shard {shard.name!r} holding front {front_id!r} is "
-                f"unreachable: {exc}",
-            ) from None
-        self._mark_up(shard)
-        return status, self._rewrite_front(resp, shard.name), {}
-
-    def _shard_for_job(self, job_id: str) -> Tuple[str, Shard]:
-        raw, shard_name = split_job_id(job_id)
-        if shard_name is None:
-            raise _HttpError(
-                404,
-                f"job id {job_id!r} carries no shard suffix; the router "
-                "only resolves ids it issued (<id>@<shard>)",
-            )
-        shard = self.shards.get(shard_name)
-        if shard is None:
-            raise _HttpError(
-                404, f"unknown shard {shard_name!r} in job id {job_id!r}"
+                404, f"unknown shard {shard_name!r} in {kind} id {routed_id!r}"
             )
         return raw, shard
 
-    async def _job_request(
-        self, method: str, job_id: str, suffix: str = ""
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        raw, shard = self._shard_for_job(job_id)
+    async def _owner_request(
+        self,
+        method: str,
+        kind: str,
+        routed_id: str,
+        suffix: str = "",
+        *,
+        timeout: Optional[float] = None,
+    ) -> _Answer:
+        """Forward a request about one job or front to the shard that
+        holds it; ``503`` when that shard is unreachable."""
+        raw, shard = self._owner(kind, routed_id)
         try:
             status, _headers, resp = await self._forward(
-                shard, method, f"/v1/jobs/{raw}{suffix}"
+                shard, method, f"/v1/{kind}s/{raw}{suffix}", timeout=timeout
             )
         except _UpstreamError as exc:
             self._mark_down(shard, str(exc))
             raise _HttpError(
                 503,
-                f"shard {shard.name!r} holding job {job_id!r} is "
+                f"shard {shard.name!r} holding {kind} {routed_id!r} is "
                 f"unreachable: {exc}",
             ) from None
         self._mark_up(shard)
-        return status, self._rewrite_job(resp, shard.name), {}
+        rewrite = self._rewrite_front if kind == "front" else self._rewrite_job
+        return status, rewrite(resp, shard.name), {}
 
-    async def _result(
-        self, job_id: str
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def _job_request(self, method: str, job_id: str) -> _Answer:
+        return await self._owner_request(method, "job", job_id)
+
+    async def _front_request(self, front_id: str) -> _Answer:
+        return await self._owner_request("GET", "front", front_id)
+
+    async def _result(self, job_id: str, wait: Optional[float]) -> _Answer:
+        suffix = "/result" if wait is None else f"/result?wait={wait}"
         if self.redirect_results:
-            raw, shard = self._shard_for_job(job_id)
+            raw, shard = self._owner("job", job_id)
             if shard.up:
-                return (
-                    307,
-                    {"location": f"{shard.url}/v1/jobs/{raw}/result"},
-                    {"Location": f"{shard.url}/v1/jobs/{raw}/result"},
-                )
+                location = f"{shard.url}/v1/jobs/{raw}{suffix}"
+                return 307, {"location": location}, {"Location": location}
             # Fall through to proxying: a 307 at a down shard would
             # just bounce the client into the same connect failure.
-        return await self._job_request("GET", job_id, "/result")
+        return await self._owner_request(
+            "GET",
+            "job",
+            job_id,
+            suffix,
+            timeout=self.upstream_timeout + (wait or 0.0),
+        )
 
-    async def _list_jobs(
-        self, query: str
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        suffix = f"?{query}" if query else ""
-        shards = [s for s in self.shards.values() if s.up]
+    async def _fan_out(
+        self, shards: List[Shard], path: str, *, count: bool = False
+    ) -> List[Tuple[Shard, Optional[Dict[str, Any]], Optional[str]]]:
+        """GET ``path`` from ``shards`` at once: ``(shard, payload,
+        error)`` each, ``payload`` ``None`` when the shard is unreachable
+        (marked down) or answered other than ``200``."""
         results = await asyncio.gather(
-            *(self._forward(s, "GET", f"/v1/jobs{suffix}") for s in shards),
+            *(self._forward(s, "GET", path, count=count) for s in shards),
             return_exceptions=True,
         )
+        out: List[Tuple[Shard, Optional[Dict[str, Any]], Optional[str]]] = []
+        for shard, result in zip(shards, results):
+            if isinstance(result, _UpstreamError):
+                self._mark_down(shard, str(result))
+                out.append((shard, None, str(result)))
+            elif isinstance(result, BaseException):
+                raise result
+            elif result[0] != 200:
+                out.append((shard, None, f"HTTP {result[0]}"))
+            else:
+                out.append((shard, result[2], None))
+        return out
+
+    async def _list_jobs(self, query: str) -> Dict[str, Any]:
+        suffix = f"?{query}" if query else ""
         jobs: List[Dict[str, Any]] = []
         unavailable: List[str] = []
-        for shard, result in zip(shards, results):
-            if isinstance(result, BaseException):
-                if isinstance(result, _UpstreamError):
-                    self._mark_down(shard, str(result))
-                    unavailable.append(shard.name)
-                    continue
-                raise result
-            status, _headers, resp = result
-            if status != 200:
+        up = [s for s in self.shards.values() if s.up]
+        for shard, resp, _error in await self._fan_out(
+            up, f"/v1/jobs{suffix}", count=True
+        ):
+            if resp is None:
                 unavailable.append(shard.name)
                 continue
             for job in resp.get("jobs", []):
@@ -674,11 +681,9 @@ class ShardRouter:
         payload: Dict[str, Any] = {"jobs": jobs, "count": len(jobs)}
         if unavailable:
             payload["unavailable_shards"] = unavailable
-        return 200, payload, {}
+        return payload
 
-    async def _trace_request(
-        self, trace_id: str
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def _trace(self, trace_id: str) -> Dict[str, Any]:
         """Merged trace view: the router's own spans (client.submit,
         router.submit) plus every up shard's, sorted by start time.
         Span ids embed the recording pid, so the merge needs no
@@ -686,26 +691,12 @@ class ShardRouter:
         spans: List[Dict[str, Any]] = list(
             obs_spans.recorder().spans_for(trace_id)
         )
-        shards = [s for s in self.shards.values() if s.up]
-        results = await asyncio.gather(
-            *(
-                self._forward(
-                    s, "GET", f"/v1/traces/{trace_id}", count=False
-                )
-                for s in shards
-            ),
-            return_exceptions=True,
-        )
         seen = {span.get("span_id") for span in spans}
-        for shard, result in zip(shards, results):
-            if isinstance(result, BaseException):
-                if isinstance(result, _UpstreamError):
-                    continue  # a down shard just contributes no spans
-                raise result
-            status, _headers, resp = result
-            if status != 200:
-                continue
-            for span in resp.get("spans", []):
+        up = [s for s in self.shards.values() if s.up]
+        for _shard, resp, _error in await self._fan_out(
+            up, f"/v1/traces/{trace_id}"
+        ):
+            for span in (resp or {}).get("spans", []):
                 if span.get("span_id") in seen:
                     continue
                 seen.add(span.get("span_id"))
@@ -715,33 +706,16 @@ class ShardRouter:
                 404, f"no spans recorded for trace {trace_id!r}"
             )
         spans.sort(key=lambda s: (s.get("start") or 0.0, s.get("name", "")))
-        return 200, {
-            "trace_id": trace_id,
-            "count": len(spans),
-            "spans": spans,
-        }, {}
+        return {"trace_id": trace_id, "count": len(spans), "spans": spans}
 
-    async def _metrics(self) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+    async def _metrics(self) -> Dict[str, Any]:
         shards = list(self.shards.values())
-        results = await asyncio.gather(
-            *(
-                self._forward(s, "GET", "/v1/metrics", count=False)
-                for s in shards
-            ),
-            return_exceptions=True,
-        )
         per_shard: Dict[str, Any] = {}
         fleet_jobs: Dict[str, int] = {}
         fleet_solver = {"evaluations": 0, "solve_time_s": 0.0}
-        for shard, result in zip(shards, results):
-            if isinstance(result, BaseException):
-                if isinstance(result, _UpstreamError):
-                    per_shard[shard.name] = {"error": str(result)}
-                    continue
-                raise result
-            status, _headers, resp = result
-            if status != 200:
-                per_shard[shard.name] = {"error": f"HTTP {status}"}
+        for shard, resp, error in await self._fan_out(shards, "/v1/metrics"):
+            if resp is None:
+                per_shard[shard.name] = {"error": error}
                 continue
             per_shard[shard.name] = resp
             for counter, value in resp.get("jobs", {}).items():
@@ -751,7 +725,7 @@ class ShardRouter:
             fleet_solver["solve_time_s"] += float(
                 solver.get("solve_time_s", 0.0)
             )
-        return 200, {
+        return {
             "version": __version__,
             "role": "router",
             "uptime_s": time.monotonic() - self._started_mono,
@@ -763,7 +737,7 @@ class ShardRouter:
             "histograms": self.metrics_registry.to_dict(
                 kinds=("histogram",)
             ),
-        }, {}
+        }
 
     def _healthz(self) -> Dict[str, Any]:
         up = sum(1 for s in self.shards.values() if s.up)
@@ -779,10 +753,13 @@ class ShardRouter:
 
     @staticmethod
     def _rewrite_job(payload: Dict[str, Any], shard: str) -> Dict[str, Any]:
-        """Stamp a shard-local job payload with its fleet identity."""
+        """Stamp a shard-local job payload, and the result a born-done
+        submission carries inline, with its fleet identity."""
         if isinstance(payload.get("id"), str) and payload["id"]:
             payload["id"] = routed_job_id(payload["id"], shard)
         payload.setdefault("shard", shard)
+        if isinstance(payload.get("result"), dict):
+            ShardRouter._rewrite_job(payload["result"], shard)
         return payload
 
     @staticmethod
@@ -798,96 +775,6 @@ class ShardRouter:
             ]
         payload.setdefault("shard", shard)
         return payload
-
-    # ------------------------------------------------------------------
-    # HTTP plumbing
-    # ------------------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            try:
-                method, target, req_headers, body = await _read_request(
-                    reader
-                )
-                status, payload, headers = await self._route(
-                    method, target, body, req_headers
-                )
-            except _HttpError as exc:
-                status, payload, headers = (
-                    exc.status,
-                    {"error": exc.message, **exc.extra},
-                    exc.headers,
-                )
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            except Exception as exc:  # never leak a traceback to the socket
-                status, payload, headers = 500, {
-                    "error": f"{type(exc).__name__}: {exc}"
-                }, {}
-            writer.write(_response(status, payload, headers))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # client went away
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _route(
-        self,
-        method: str,
-        target: str,
-        body: bytes,
-        req_headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        split = urlsplit(target)
-        parts = [p for p in split.path.split("/") if p]
-        if parts == ["metrics"]:
-            # Prometheus scrape target: fleet-aggregated text rendered
-            # from the same payload GET /v1/metrics serves as JSON.
-            self._expect(method, "GET")
-            _status, payload, _headers = await self._metrics()
-            return 200, _PlainText(to_prometheus(payload)), {}
-        if parts[:1] != ["v1"]:
-            raise _HttpError(404, f"unknown path {split.path!r}")
-        rest = parts[1:]
-        if rest == ["healthz"]:
-            self._expect(method, "GET")
-            return 200, self._healthz(), {}
-        if rest == ["metrics"]:
-            self._expect(method, "GET")
-            return await self._metrics()
-        if len(rest) == 2 and rest[0] == "traces":
-            self._expect(method, "GET")
-            return await self._trace_request(rest[1])
-        if rest == ["jobs"]:
-            if method == "POST":
-                return await self._submit(body, req_headers)
-            self._expect(method, "GET")
-            return await self._list_jobs(split.query)
-        if len(rest) == 2 and rest[0] == "jobs":
-            if method == "DELETE":
-                return await self._job_request("DELETE", rest[1])
-            self._expect(method, "GET")
-            return await self._job_request("GET", rest[1])
-        if len(rest) == 3 and rest[0] == "jobs" and rest[2] == "result":
-            self._expect(method, "GET")
-            return await self._result(rest[1])
-        if rest == ["fronts"]:
-            self._expect(method, "POST")
-            return await self._submit_front(body)
-        if len(rest) == 2 and rest[0] == "fronts":
-            self._expect(method, "GET")
-            return await self._front_request(rest[1])
-        raise _HttpError(404, f"unknown path {split.path!r}")
-
-    @staticmethod
-    def _expect(method: str, expected: str) -> None:
-        if method != expected:
-            raise _HttpError(405, f"method {method} not allowed here")
 
 
 # ----------------------------------------------------------------------
@@ -906,13 +793,12 @@ async def serve_router(
     return router
 
 
-class RouterThread:
-    """Host a :class:`ShardRouter` on a background thread.
+class RouterThread(_FrontEndThread):
+    """Host a :class:`ShardRouter` on a background thread, like
+    :class:`~repro.server.http.ServerThread`.  Tests and benchmarks
+    embed a live router this way."""
 
-    Mirrors :class:`~repro.server.http.ServerThread`: :meth:`start`
-    blocks until the socket is bound, usable as a context manager.
-    Tests and benchmarks embed a live router this way.
-    """
+    _role = "router"
 
     def __init__(
         self,
@@ -922,79 +808,15 @@ class RouterThread:
         port: int = 0,
         **router_kwargs: Any,
     ) -> None:
-        self._shards = list(shards)
-        self._host = host
-        self._port = port
-        self._router_kwargs = router_kwargs
-        self._ready = threading.Event()
-        self._stop: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._startup_error: Optional[BaseException] = None
-        self.router: Optional[ShardRouter] = None
+        shards = list(shards)
+        super().__init__(
+            lambda: serve_router(shards, host=host, port=port, **router_kwargs)
+        )
 
     @property
-    def url(self) -> str:
-        """Base URL of the running router."""
-        assert self.router is not None, "router not started"
-        return self.router.url
-
-    def start(self, timeout: float = 30.0) -> "RouterThread":
-        """Launch the thread and wait for the socket to be bound."""
-        self._thread = threading.Thread(
-            target=self._run, name="shard-router", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("router thread did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"router failed to start: {self._startup_error}"
-            ) from self._startup_error
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        """Request shutdown and join."""
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout)
-
-    def run_sync(self, coro_factory) -> Any:
-        """Run ``coro_factory(router)`` on the router's loop (tests use
-        this to trigger an immediate health sweep)."""
-        assert self._loop is not None and self.router is not None
-        future = asyncio.run_coroutine_threadsafe(
-            coro_factory(self.router), self._loop
-        )
-        return future.result(timeout=30.0)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            self.router = await serve_router(
-                self._shards,
-                host=self._host,
-                port=self._port,
-                **self._router_kwargs,
-            )
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop.wait()
-        await self.router.close()
+    def router(self) -> Optional[ShardRouter]:
+        """The running :class:`ShardRouter`."""
+        return self._front  # type: ignore[return-value]
 
 
 #: Pattern the daemon prints on startup; the spawner parses the bound
@@ -1123,8 +945,6 @@ def run_router(
     daemons first; runs until SIGINT/SIGTERM, then closes the router
     and terminates any spawned shards.
     """
-    import signal
-
     spawned: List[Shard] = []
     shard_specs = list(shards)
     if spawn:
@@ -1143,29 +963,14 @@ def run_router(
         )
         for shard in spawned:
             router.shards[shard.name].process = shard.process
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        handled = []
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-                handled.append(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
         roster = " ".join(f"{n}={u}" for n, u in shard_specs)
-        print(
+        await _serve_until_signalled(
+            router,
             f"repro-pipelines shard router v{__version__} "
             f"listening on {router.url} fronting {len(shard_specs)} "
             f"shard(s): {roster}",
-            flush=True,
+            "router shutting down",
         )
-        try:
-            await stop.wait()
-            print("router shutting down", flush=True)
-        finally:
-            for sig in handled:
-                loop.remove_signal_handler(sig)
-            await router.close()
 
     try:
         asyncio.run(_main())

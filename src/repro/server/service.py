@@ -578,16 +578,19 @@ class SolveService:
     async def wait(
         self, job_id: str, timeout: Optional[float] = None
     ) -> JobRecord:
-        """Wait until a job reaches a terminal state (poll-free for the
-        caller; the service itself polls its own loop cheaply)."""
+        """Wait until a job reaches a terminal state.
+
+        Awaits the job's completion event (:meth:`JobRecord.finished`),
+        set where the job is resolved or cancelled; raises
+        ``asyncio.TimeoutError`` past ``timeout`` seconds."""
         job = self.job(job_id)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not job.state.finished:
-            if deadline is not None and time.monotonic() >= deadline:
+        if not job.state.finished:
+            try:
+                await asyncio.wait_for(job.finished(), timeout)
+            except asyncio.TimeoutError:
                 raise asyncio.TimeoutError(
                     f"job {job_id} not finished within {timeout}s"
-                )
-            await asyncio.sleep(0.005)
+                ) from None
         return job
 
     @property

@@ -23,7 +23,8 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    return SolveClient(server.url, timeout=10.0)
+    with SolveClient(server.url, timeout=10.0) as handle:
+        yield handle
 
 
 class TestEndpoints:
@@ -108,63 +109,165 @@ class TestRetries:
         with pytest.raises(ClientError, match="unknown job"):
             client.job("jxxx")
 
+    @staticmethod
+    def _answering(monkeypatch, answers):
+        """A client (no retries) whose server gives ``answers`` in turn."""
+        import json
 
-class TestWaitBackoff:
-    """Regression: ``wait`` must not busy-poll a slow job.
+        client = SolveClient("http://127.0.0.1:9", retries=0, timeout=1.0)
+        sent = []
 
-    The fixed-interval poller sent one status request every 20 ms for
-    the whole life of a job; a 10 s job cost ~500 requests (times every
-    concurrent waiter).  The jittered exponential schedule (doubling
-    from ``poll_interval`` to the 2 s cap) sends O(log) + tail/2s.
+        def exchange(url, method, body, headers, timeout):
+            sent.append(url)
+            status, payload = answers[len(sent) - 1]
+            return status, {}, json.dumps(payload).encode()
+
+        monkeypatch.setattr(client, "_exchange", exchange)
+        return client, sent
+
+    def test_503_at_the_connection_cap_is_waited_out_without_a_retry(
+        self, monkeypatch
+    ):
+        busy = (503, {"error": "too many open connections", "retry_after": 0.01})
+        client, sent = self._answering(
+            monkeypatch, [busy, busy, (200, {"status": "ok"})]
+        )
+        assert client.healthz()["status"] == "ok"
+        assert len(sent) == 3
+
+    def test_503_hints_past_the_request_budget_are_not_waited_out(
+        self, monkeypatch
+    ):
+        late = (503, {"error": "too many open connections", "retry_after": 5.0})
+        client, sent = self._answering(monkeypatch, [late])
+        with pytest.raises(ClientError, match="HTTP 503"):
+            client.healthz()
+        assert len(sent) == 1
+
+    def test_503_without_a_hint_spends_a_retry(self, monkeypatch):
+        client, sent = self._answering(monkeypatch, [(503, {"error": "closing"})])
+        with pytest.raises(ClientError, match="closing"):
+            client.healthz()
+        assert len(sent) == 1
+
+
+class TestLongPollSchedule:
+    """``wait`` long-polls instead of sleeping between status polls.
+
+    The old poller slept on a jittered exponential schedule between
+    ``GET /v1/jobs/{id}`` requests, then fetched ``/result`` separately.
+    Now every request is ``GET /v1/jobs/{id}/result?wait=S`` held by the
+    server until the job finishes or S seconds pass, so a job of T
+    seconds costs ``ceil(T / S)`` requests and nothing sleeps.  The
+    stub server below advances a fake clock by the time each long-poll
+    would be held.
     """
 
-    def _stubbed_wait(self, monkeypatch, pending_seconds, **wait_kwargs):
-        client = SolveClient("http://127.0.0.1:9", retries=0)
-        clock = {"t": 0.0}
-        sleeps = []
-        polls = []
-
-        def fake_sleep(seconds):
-            sleeps.append(seconds)
-            clock["t"] += seconds
-
-        def fake_job(job_id):
-            polls.append(clock["t"])
-            done = clock["t"] >= pending_seconds
-            return {"id": job_id, "state": "done" if done else "running"}
-
-        def fake_result(job_id):
-            return RemoteResult(
-                job_id=job_id, status="ok", source="solved", wall_time=0.0
-            )
-
-        monkeypatch.setattr(client, "job", fake_job)
-        monkeypatch.setattr(client, "result", fake_result)
+    def _stubbed(self, monkeypatch, pending_seconds):
         import repro.client as client_module
 
-        monkeypatch.setattr(client_module.time, "sleep", fake_sleep)
-        result = client.wait("j1", timeout=None, **wait_kwargs)
-        return result, polls, sleeps
+        client = SolveClient("http://127.0.0.1:9", retries=0)
+        clock = {"t": 0.0}
+        calls = []
 
-    def test_ten_second_job_costs_log_requests(self, monkeypatch):
-        result, polls, sleeps = self._stubbed_wait(monkeypatch, 10.0)
-        assert result.ok
-        # Fixed 20 ms polling would be ~500 requests; exponential
-        # backoff to the 2 s cap stays in the low tens.
-        assert 5 <= len(polls) <= 18
-        assert sleeps[0] <= 0.02
-        assert max(sleeps) <= 2.0  # capped at max_poll_interval
-        assert sleeps[-1] >= 0.5  # and the tail really reached the cap
+        def fake_request(method, path, payload=None, headers=None, *, wait=0.0):
+            calls.append((method, path, wait))
+            if method == "POST":
+                done = pending_seconds <= 0
+                view = {"id": "j1", "state": "done" if done else "running"}
+                if done:
+                    view["result"] = {"id": "j1", "state": "done", "status": "ok"}
+                return view
+            assert "?wait=" in path
+            clock["t"] = min(clock["t"] + wait, max(clock["t"], pending_seconds))
+            if clock["t"] >= pending_seconds:
+                return {"id": "j1", "state": "done", "status": "ok"}
+            return {"id": "j1", "state": "running"}
 
-    def test_fast_job_still_resolves_immediately(self, monkeypatch):
-        result, polls, sleeps = self._stubbed_wait(monkeypatch, 0.0)
+        def no_sleep(seconds):
+            raise AssertionError(f"client slept {seconds}s")
+
+        monkeypatch.setattr(client, "_request", fake_request)
+        monkeypatch.setattr(client_module.time, "monotonic", lambda: clock["t"])
+        monkeypatch.setattr(client_module.time, "sleep", no_sleep)
+        return client, calls
+
+    @pytest.mark.parametrize("seconds", [0.5, 9.9, 10.0, 25.0, 61.0])
+    def test_job_costs_ceil_seconds_over_wait_requests(self, monkeypatch, seconds):
+        import math
+
+        client, calls = self._stubbed(monkeypatch, seconds)
+        result = client.wait("j1", timeout=None)
         assert result.ok
-        assert len(polls) == 1
-        assert sleeps == []
+        # Each long-poll asks for the client's timeout (10 s by default).
+        assert len(calls) == math.ceil(seconds / client.timeout)
+        assert all(wait == client.timeout for _m, _p, wait in calls)
+
+    def test_warm_solve_is_one_request(self, monkeypatch):
+        client, calls = self._stubbed(monkeypatch, 0.0)
+        result = client.solve(small_random_problem(1), timeout=60)
+        assert result.ok
+        assert [method for method, _p, _w in calls] == ["POST"]
+
+    def test_cold_solve_is_submit_plus_long_polls(self, monkeypatch):
+        client, calls = self._stubbed(monkeypatch, 15.0)
+        assert client.solve(small_random_problem(1), timeout=None).ok
+        assert [method for method, _p, _w in calls] == ["POST", "GET", "GET"]
+
+    def test_timeout_caps_the_wait_asked_for(self, monkeypatch):
+        client, calls = self._stubbed(monkeypatch, 25.0)
+        with pytest.raises(TimeoutError, match="not finished within 3"):
+            client.wait("j1", timeout=3.0)
+        assert [wait for _m, _p, wait in calls] == [3.0]
+
+    def test_iter_results_long_polls_the_first_pending_job(self, monkeypatch):
+        client, calls = self._stubbed(monkeypatch, 12.0)
+        results = list(client.iter_results(["j1", "j1"], timeout=None))
+        assert [r.job_id for r in results] == ["j1", "j1"]
+        # Two long-polls for the first job, one for the already-done one.
+        assert len(calls) == 3
 
     def test_jitter_stays_within_half_to_full_delay(self):
         for _ in range(200):
             assert 1.0 <= SolveClient._jittered(2.0) < 2.0
+
+
+class TestLiveRoundTrips:
+    def test_warm_solve_costs_one_request(self, client, server):
+        problem = small_random_problem(240)
+        first = client.solve(problem, timeout=60)
+        before = server.server.requests_served
+        again = client.solve(problem, timeout=60)
+        assert server.server.requests_served - before == 1
+        assert again.source == "cache"
+        assert again.solution.objective == first.solution.objective
+
+    def test_wait_long_polls_a_running_job(self, client, server):
+        view = client.submit(small_random_problem(241))
+        result = client.wait(view["id"], timeout=60)
+        assert result.ok and result.job_id == view["id"]
+
+    def test_idle_connection_closed_by_server_is_retried_once(
+        self, client, server, monkeypatch
+    ):
+        import time
+
+        import repro.server.http as http_module
+
+        monkeypatch.setattr(http_module, "IDLE_TIMEOUT_S", 0.2)
+        with SolveClient(server.url, retries=0) as strict:
+            strict.healthz()  # opens this thread's keep-alive connection
+            time.sleep(0.5)  # the server closes it after 0.2 s idle
+            assert strict.healthz()["status"] == "ok"
+
+    def test_close_releases_the_connection(self, server):
+        with SolveClient(server.url, retries=0) as fresh:
+            fresh.healthz()
+            (conn,) = fresh._local.connections.values()
+            sock = conn.sock
+            fresh.close()
+            assert sock.fileno() == -1
+            assert fresh.healthz()["status"] == "ok"  # reopens on demand
 
 
 class TestRemoteResultDecoding:

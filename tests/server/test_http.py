@@ -11,11 +11,18 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import __version__
 from repro.generators import small_random_problem
 from repro.io import problem_to_dict
-from repro.server import ServerThread
+from repro.server import (
+    ProtocolError,
+    ServerThread,
+    parse_front_payload,
+    parse_job_payload,
+)
 from repro.server.http import _HttpError, _read_request
 
 
@@ -298,3 +305,125 @@ class TestStrategySubmissions:
         assert done["status"] == "ok"
         assert done["telemetry"]["strategy"] == "greedy"
         assert done["telemetry"]["evaluations"] > 0
+
+
+# ----------------------------------------------------------------------
+# fuzzing: framing and payload parsing never give a 500 or hang
+# ----------------------------------------------------------------------
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+_VALID_JOB = submission(300)
+_VALID_FRONT = {
+    "problem": problem_to_dict(small_random_problem(301)),
+    "points": 5,
+}
+
+
+def _mutate(data, payload):
+    """Replace one randomly chosen node of a deep copy of ``payload``
+    (the root included) by an arbitrary JSON value."""
+    payload = json.loads(json.dumps(payload))
+    holder, key = None, None
+    node = payload
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        holder, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    value = data.draw(_JSON)
+    if holder is None:
+        return value
+    holder[key] = value
+    return payload
+
+
+_REQUEST_LINES = st.builds(
+    lambda method, target, version: f"{method} {target} {version}\r\n".encode(),
+    st.sampled_from(["GET", "POST", "DELETE", "PUT", "get", ""]),
+    st.sampled_from(["/v1/jobs", "/v1/healthz", "/", "*", "/v1/jobs/x/result?wait=1"]),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2", "", "HTTP/1.1 extra"]),
+)
+_HEADER_LINES = st.lists(
+    st.one_of(
+        st.builds(
+            lambda n: f"Content-Length: {n}\r\n".encode(),
+            st.one_of(st.integers(-5, 64), st.text(max_size=4)),
+        ),
+        st.just(b"Transfer-Encoding: chunked\r\n"),
+        st.just(b"Connection: close\r\n"),
+        st.binary(max_size=30).map(lambda b: b + b"\r\n"),
+    ),
+    max_size=5,
+)
+
+
+def _read_within(raw: bytes, seconds: float = 5.0):
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await asyncio.wait_for(_read_request(reader), seconds)
+
+    return asyncio.run(go())
+
+
+def _assert_framed_or_client_error(raw: bytes):
+    try:
+        request = _read_within(raw)
+    except _HttpError as exc:
+        assert exc.status in (400, 413, 501), exc.status
+    else:
+        assert isinstance(request.body, bytes)
+
+
+class TestFramingFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes(self, raw):
+        _assert_framed_or_client_error(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_REQUEST_LINES, _HEADER_LINES, st.binary(max_size=80))
+    def test_request_shaped_bytes(self, line, headers, body):
+        _assert_framed_or_client_error(line + b"".join(headers) + b"\r\n" + body)
+
+    def test_chunked_is_501(self):
+        with pytest.raises(_HttpError) as err:
+            _read_within(
+                b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"2\r\n{}\r\n0\r\n\r\n"
+            )
+        assert err.value.status == 501
+
+    def test_keep_alive_flag(self):
+        assert _read_within(b"GET / HTTP/1.1\r\n\r\n").keep_alive
+        assert not _read_within(b"GET / HTTP/1.0\r\n\r\n").keep_alive
+        assert not _read_within(
+            b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n"
+        ).keep_alive
+
+
+class TestPayloadFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_job_payload_is_parsed_or_protocol_error(self, data):
+        try:
+            parse_job_payload(_mutate(data, _VALID_JOB))
+        except ProtocolError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_front_payload_is_parsed_or_protocol_error(self, data):
+        try:
+            parse_front_payload(_mutate(data, _VALID_FRONT))
+        except ProtocolError:
+            pass

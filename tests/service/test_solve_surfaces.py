@@ -1,12 +1,18 @@
 """Every solve surface runs the one batched neighborhood search.
 
 :func:`repro.service.solve_one`, :func:`repro.service.solve_batch`
-(sequential, pooled, pooled over one shared instance) and the daemon
-must all return the climb of the one-``Mapping``-at-a-time oracle in
+(sequential, pooled, pooled over one shared instance), the daemon and
+the shard router in front of it must all return the climb of the
+one-``Mapping``-at-a-time oracle in
 :mod:`tests.algorithms.reference_local_search` from the same greedy
-start, and the daemon's health and metrics payloads carry no
-neighborhood-engine fields.
+start — whether the answer comes inline with a born-done submission,
+from a long-polled cold solve or from a plain ``GET /result`` — and the
+daemon's health and metrics payloads carry no neighborhood-engine
+fields.
 """
+
+import json
+import urllib.request
 
 import pytest
 
@@ -103,3 +109,66 @@ class TestDaemon:
         for key in ("engine", "engines", "compiled_available", "numba"):
             assert key not in health
         assert "engine" not in metrics
+
+
+def raw(url, method="GET", payload=None):
+    """``(status, body bytes)`` of one request, bypassing the client."""
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(url, data=data, method=method)
+    with urllib.request.urlopen(request, timeout=60) as response:
+        return response.status, response.read()
+
+
+@pytest.fixture(scope="module")
+def fleet():
+    """``{"daemon": url, "router": url}``: one daemon, and a router
+    fronting it."""
+    from repro.server import RouterThread, ServerThread
+
+    with ServerThread(port=0, concurrency=1, executor="thread") as server:
+        with RouterThread([("s0", server.url)], health_interval=30.0) as rt:
+            yield {"daemon": server.url, "router": rt.url}
+
+
+@pytest.mark.parametrize("hop", ["daemon", "router"])
+class TestServedAnswers:
+    def test_every_answer_path_matches_oracle(self, problems, fleet, hop):
+        from repro.client import RemoteResult, SolveClient
+
+        problem = problems[1 if hop == "daemon" else 2]
+        want = oracle_climb(problem)
+        with SolveClient(fleet[hop], timeout=60.0) as client:
+            cold = client.solve(problem, strategy=STRATEGY, timeout=120)
+            warm_view = client.submit(problem, strategy=STRATEGY)
+        assert cold.source == "solved"  # long-polled
+        assert_same(cold.solution, want)
+        inline = RemoteResult.from_payload(warm_view["result"])
+        assert inline.source == "cache"
+        assert_same(inline.solution, want)
+        _status, body = raw(f"{fleet[hop]}/v1/jobs/{cold.job_id}/result")
+        assert_same(RemoteResult.from_payload(json.loads(body)).solution, want)
+
+    def test_inline_result_is_byte_identical_to_get_result(
+        self, problems, fleet, hop
+    ):
+        from repro.client import SolveClient
+        from repro.io import problem_to_dict
+
+        url = fleet[hop]
+        problem = problems[3]
+        with SolveClient(url, timeout=60.0) as client:
+            client.solve(problem, strategy=STRATEGY)
+        payload = {
+            "problem": problem_to_dict(problem),
+            "solver": {"objective": "period", "strategy": STRATEGY},
+        }
+        status, body = raw(f"{url}/v1/jobs", "POST", payload)
+        assert status == 200
+        view = json.loads(body)
+        assert view["state"] == "done"
+        if hop == "router":  # ids rewritten inside the inline result too
+            assert view["id"].endswith("@s0")
+            assert view["result"]["id"] == view["id"]
+        status, result_body = raw(f"{url}/v1/jobs/{view['id']}/result")
+        assert status == 200
+        assert json.dumps(view["result"]).encode() == result_body
