@@ -109,11 +109,10 @@ def bench_batch(count: int = 100, workers: int = 4) -> Dict[str, object]:
     Instances are sized so one solve takes tens of milliseconds (heuristic
     search on the NP-hard cells) -- large enough for the process pool to
     amortize its startup, small enough to keep the bench under a minute.
-    The pooled pass runs through the work-stealing pool with the
-    shared-memory transport (``transport="auto"``; the JSON records what
-    it resolved to).  ``pool_speedup`` is only meaningful on multi-core
-    machines — see the ``caveats`` field and ``cpu_count`` in the JSON,
-    and :mod:`benchmarks.bench_parallel` for the full scaling curve.
+    The pooled pass runs through the process's work-stealing worker pool
+    (:mod:`repro.service.pool`).  ``pool_speedup`` is only meaningful on
+    multi-core machines — see the ``caveats`` field and ``cpu_count`` in
+    the JSON.
     """
     workers = max(2, min(workers, os.cpu_count() or 1))
     classes = list(PlatformClass)
@@ -129,9 +128,7 @@ def bench_batch(count: int = 100, workers: int = 4) -> Dict[str, object]:
         for seed in range(count)
     ]
     sequential = solve_batch(problems, objective="period", workers=None)
-    pooled = solve_batch(
-        problems, objective="period", workers=workers, transport="auto"
-    )
+    pooled = solve_batch(problems, objective="period", workers=workers)
     assert sequential.n_failed == 0 and pooled.n_failed == 0
     return {
         "count": float(count),
@@ -141,7 +138,6 @@ def bench_batch(count: int = 100, workers: int = 4) -> Dict[str, object]:
         "pool_speedup": sequential.total_time / pooled.total_time,
         "n_ok_sequential": float(sequential.n_ok),
         "n_ok_pooled": float(pooled.n_ok),
-        "transport": pooled.transport,
         "bytes_pickled_per_job": pooled.stats.get("bytes_pickled_per_job"),
     }
 
@@ -157,8 +153,7 @@ def main(output: str = "") -> int:
             f"pool_speedup was measured with {int(batch_series['workers'])} "
             f"workers on a {cpu_count}-CPU machine: values near (or below) "
             "1.0x reflect the runner's core count, not a regression. "
-            "Re-run on a multi-core machine before comparing; "
-            "benchmarks/bench_parallel.py records the full scaling curve."
+            "Re-run on a multi-core machine before comparing."
         )
     record = {
         "instance": {"n_stages": N_STAGES, "n_processors": N_PROCS},

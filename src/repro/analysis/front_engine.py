@@ -27,7 +27,7 @@ the last cell finishes.  This module re-plans the same sweep as an
   points under any arrival order.
 
 :func:`compute_front_anytime` runs the whole pipeline in-process
-(optionally across worker processes); the daemon-side counterpart that
+(optionally across the process's worker pool); the daemon-side counterpart that
 feeds the same merge through :class:`repro.server.service.SolveService`
 lives in :mod:`repro.server.fronts`.
 """
@@ -35,12 +35,13 @@ lives in :mod:`repro.server.fronts`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.problem import ProblemInstance
 from ..core.types import MappingRule, PlatformClass
+from ..service import pool as _pool
 from .pareto import _min_energy_at_period, front_thresholds, pareto_filter
 
 __all__ = [
@@ -258,7 +259,7 @@ def _solve_cell(
     energy_ubound: Optional[float],
 ) -> Optional[Tuple[float, float]]:
     """One epsilon-constraint cell: min energy s.t. period <= threshold.
-    Module-level so process pools can pickle it."""
+    Module-level so the worker pool can pickle it."""
     solution = _min_energy_at_period(
         problem, threshold, energy_ubound=energy_ubound
     )
@@ -304,8 +305,10 @@ def compute_front_anytime(
     max_points:
         Sweep plan size cap (shared with the sequential exact sweep).
     workers:
-        Worker processes; ``1`` (default) solves inline in submission
-        order, still warm-started.
+        Size of the process's shared worker pool
+        (:mod:`repro.service.pool`) and of the in-flight window; ``1``
+        (default), or a call made inside a pool worker, solves inline in
+        submission order, still warm-started.
     warm_start:
         Seed each exact cell's prune bound from the best completed
         incumbent achievable at its threshold (:func:`_warm_bound`).
@@ -338,7 +341,7 @@ def compute_front_anytime(
         if on_event is not None:
             on_event(event)
 
-    if workers <= 1:
+    if workers <= 1 or _pool.in_worker():
         for index in order:
             threshold = thresholds[index]
             bound = _warm_bound(threshold, completed) if warm_start else None
@@ -349,30 +352,24 @@ def compute_front_anytime(
         # A sliding in-flight window: cells are launched in bisection
         # order, each warm-started from whatever has completed by its
         # submission time, so early extremes bound the midpoints.
+        pool = _pool.get_pool(workers)
         pending = list(order)
         in_flight = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            while pending or in_flight:
-                while pending and len(in_flight) < workers:
-                    index = pending.pop(0)
-                    threshold = thresholds[index]
-                    bound = (
-                        _warm_bound(threshold, completed)
-                        if warm_start
-                        else None
-                    )
-                    if bound is not None:
-                        n_warm += 1
-                    future = pool.submit(
-                        _solve_cell, problem, threshold, bound
-                    )
-                    in_flight[future] = (threshold, bound)
-                done, _ = wait(
-                    list(in_flight), return_when=FIRST_COMPLETED
+        while pending or in_flight:
+            while pending and len(in_flight) < workers:
+                index = pending.pop(0)
+                threshold = thresholds[index]
+                bound = (
+                    _warm_bound(threshold, completed) if warm_start else None
                 )
-                for future in done:
-                    threshold, bound = in_flight.pop(future)
-                    record(threshold, future.result(), bound)
+                if bound is not None:
+                    n_warm += 1
+                future = pool.submit(_solve_cell, problem, threshold, bound)
+                in_flight[future] = (threshold, bound)
+            done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
+            for future in done:
+                threshold, bound = in_flight.pop(future)
+                record(threshold, future.result(), bound)
 
     points = [p for p in completed.values() if p is not None]
     result = FrontResult(

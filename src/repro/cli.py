@@ -456,7 +456,6 @@ def _cmd_solve_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         strategy=args.strategy,
         budget=_budget_from_args(args),
-        transport=args.transport,
     )
     rows = []
     cells = set()
@@ -682,7 +681,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         executor=args.executor,
         max_jobs_retained=args.max_jobs,
         max_queue_depth=args.max_queue_depth,
-        transport=args.transport,
         shard=args.shard_name,
         slow_solve_threshold=args.slow_solve_threshold,
     )
@@ -1100,14 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_budget_flags(batch)
     batch.add_argument(
-        "--transport",
-        choices=["auto", "shm", "pickle"],
-        default="auto",
-        help="pooled instance transport: shm = zero-copy shared memory, "
-        "pickle = per-job serialization, auto = shm for large batches "
-        "(ignored without --workers)",
-    )
-    batch.add_argument(
         "--quiet",
         action="store_true",
         help="only print the summary, not the per-instance table",
@@ -1288,7 +1278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         type=int,
         default=2,
-        help="jobs solved at once (process-pool size)",
+        help="jobs solved at once (worker-pool size)",
     )
     serve.add_argument(
         "--executor",
@@ -1309,12 +1299,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bound on queued cells before new submissions are shed "
         "with HTTP 429 + Retry-After (default: unbounded)",
-    )
-    serve.add_argument(
-        "--transport",
-        choices=["auto", "shm", "pickle"],
-        default="auto",
-        help="instance transport used by the daemon's solve runner",
     )
     serve.add_argument(
         "--shard-name",

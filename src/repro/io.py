@@ -9,8 +9,6 @@ object, so experiments can be archived, shared and replayed:
 * :func:`problem_to_dict` / :func:`problem_from_dict`
 * :func:`solution_to_dict` / :func:`solution_from_dict`
 * :func:`save_problem` / :func:`load_problem` (JSON files)
-* :func:`problem_to_arrays` / :func:`problem_from_arrays` (meta dict +
-  flat float64 arrays -- the shared-memory transport's wire format)
 
 Solution payloads carry the mapping, the full criteria values and —
 optionally — the structured :class:`~repro.strategies.SolveTelemetry`
@@ -274,201 +272,6 @@ def solution_from_dict(payload: Dict[str, Any]) -> Solution:
         solver=payload.get("solver", ""),
         optimal=bool(payload.get("optimal", False)),
         stats=dict(payload.get("stats", {})),
-    )
-
-
-# ----------------------------------------------------------------------
-# Array form (the shared-memory transport's wire format)
-# ----------------------------------------------------------------------
-#: Number of arrays holding the platform payload (speeds, static
-#: energies, three link tables, per-app bandwidths).
-_N_PLATFORM_ARRAYS = 6
-#: Arrays per application: works, work-prefix sums, data-size vector.
-_N_APP_ARRAYS = 3
-
-
-def problem_to_arrays(problem: ProblemInstance):
-    """Split a problem into a JSON-able meta dict + flat float64 arrays.
-
-    The numeric payload of an instance — stage works/prefix sums,
-    data-size vectors, processor speed sets, static energies and every
-    bandwidth table — is returned as a list of 1-D ``float64`` arrays;
-    everything else (names, weights, counts, enums) goes into a small
-    ``meta`` dict.  This is the wire format of the zero-copy
-    shared-memory transport (:mod:`repro.service.transport`): the arrays
-    are copied into one shared segment per batch and reconstructed
-    worker-side as views, while ``meta`` travels in the tiny per-worker
-    descriptor.
-
-    Returns
-    -------
-    (meta, arrays) : tuple of (dict, list of numpy.ndarray)
-        ``arrays`` holds, per application, ``works`` (n), ``prefix``
-        (n + 1, the canonical left-to-right prefix sums) and ``delta``
-        (n + 1, input size then output sizes), followed by the six
-        platform arrays.  :func:`problem_from_arrays` inverts it.
-    """
-    import numpy as np
-
-    arrays = []
-    apps_meta = []
-    for app in problem.apps:
-        works = np.asarray(app.works, dtype=np.float64)
-        prefix = np.asarray(app._work_prefix, dtype=np.float64)
-        delta = np.empty(app.n_stages + 1, dtype=np.float64)
-        delta[0] = app.input_data_size
-        delta[1:] = app.output_sizes
-        arrays.extend((works, prefix, delta))
-        apps_meta.append(
-            {"n_stages": app.n_stages, "weight": app.weight, "name": app.name}
-        )
-    platform = problem.platform
-    speeds_flat = np.asarray(
-        [s for p in platform.processors for s in p.speeds], dtype=np.float64
-    )
-    static = np.asarray(
-        [p.static_energy for p in platform.processors], dtype=np.float64
-    )
-    links = np.asarray(
-        [x for (u, v), bw in sorted(platform.links.items()) for x in (u, v, bw)],
-        dtype=np.float64,
-    )
-    in_links = np.asarray(
-        [
-            x
-            for (a, u), bw in sorted(platform.in_links.items())
-            for x in (a, u, bw)
-        ],
-        dtype=np.float64,
-    )
-    out_links = np.asarray(
-        [
-            x
-            for (a, u), bw in sorted(platform.out_links.items())
-            for x in (a, u, bw)
-        ],
-        dtype=np.float64,
-    )
-    app_bw = np.asarray(
-        [x for a, bw in sorted(platform.app_bandwidths.items()) for x in (a, bw)],
-        dtype=np.float64,
-    )
-    arrays.extend((speeds_flat, static, links, in_links, out_links, app_bw))
-    meta = {
-        "schema": SCHEMA_VERSION,
-        "apps": apps_meta,
-        "platform": {
-            "mode_counts": [len(p.speeds) for p in platform.processors],
-            "proc_names": [p.name for p in platform.processors],
-            "default_bandwidth": platform.default_bandwidth,
-            "name": platform.name,
-        },
-        "rule": problem.rule.value,
-        "model": problem.model.value,
-        "energy_alpha": problem.energy_model.alpha,
-    }
-    return meta, arrays
-
-
-def problem_from_arrays(
-    meta: Dict[str, Any],
-    arrays,
-    *,
-    attach_kernel_views: bool = False,
-) -> ProblemInstance:
-    """Rebuild a :class:`~repro.core.problem.ProblemInstance` from its
-    array form (:func:`problem_to_arrays`).
-
-    Parameters
-    ----------
-    meta:
-        The meta dict.
-    arrays:
-        The flat float64 arrays, in :func:`problem_to_arrays` order.
-        May be views into a shared-memory buffer — the stage payloads
-        are then *not* copied into the kernel.
-    attach_kernel_views:
-        When true, each reconstructed application gets its kernel
-        arrays (work-prefix sums + data-size vector) attached directly
-        from ``arrays``, so :class:`~repro.kernel.EvaluationContext`
-        construction reuses the (shared-memory) views instead of
-        rebuilding the arrays from Python floats.  The attached views
-        are bit-identical to what the kernel would compute itself: the
-        prefix sums were accumulated by the sender's
-        ``Application.__post_init__`` with the same left-to-right order.
-
-    Raises
-    ------
-    SerializationError
-        On a schema mismatch or an array-count mismatch.
-    """
-    schema = meta.get("schema")
-    if schema != SCHEMA_VERSION:
-        raise SerializationError(
-            f"unsupported schema version {schema!r} "
-            f"(expected {SCHEMA_VERSION})"
-        )
-    apps_meta = _require(meta, "apps")
-    expected = _N_APP_ARRAYS * len(apps_meta) + _N_PLATFORM_ARRAYS
-    if len(arrays) != expected:
-        raise SerializationError(
-            f"expected {expected} arrays for {len(apps_meta)} applications, "
-            f"got {len(arrays)}"
-        )
-    apps = []
-    for a, app_meta in enumerate(apps_meta):
-        works, prefix, delta = arrays[_N_APP_ARRAYS * a : _N_APP_ARRAYS * (a + 1)]
-        app = Application.from_lists(
-            works.tolist(),
-            delta[1:].tolist(),
-            input_data_size=float(delta[0]),
-            weight=app_meta.get("weight", 1.0),
-            name=app_meta.get("name", ""),
-        )
-        if attach_kernel_views:
-            from .kernel.context import attach_kernel_arrays
-
-            attach_kernel_arrays(app, prefix, delta)
-        apps.append(app)
-    speeds_flat, static, links, in_links, out_links, app_bw = arrays[
-        _N_APP_ARRAYS * len(apps_meta) :
-    ]
-    platform_meta = _require(meta, "platform")
-    mode_counts = _require(platform_meta, "mode_counts")
-    proc_names = platform_meta.get("proc_names") or [""] * len(mode_counts)
-    processors = []
-    offset = 0
-    for count, name in zip(mode_counts, proc_names):
-        processors.append(
-            Processor(
-                speeds=tuple(speeds_flat[offset : offset + count].tolist()),
-                static_energy=float(static[len(processors)]),
-                name=name,
-            )
-        )
-        offset += count
-    triplets = lambda arr: {  # noqa: E731 - tiny local decoder
-        (int(arr[i]), int(arr[i + 1])): float(arr[i + 2])
-        for i in range(0, len(arr), 3)
-    }
-    platform = Platform(
-        processors=tuple(processors),
-        default_bandwidth=platform_meta.get("default_bandwidth", 1.0),
-        links=triplets(links),
-        in_links=triplets(in_links),
-        out_links=triplets(out_links),
-        app_bandwidths={
-            int(app_bw[i]): float(app_bw[i + 1])
-            for i in range(0, len(app_bw), 2)
-        },
-        name=platform_meta.get("name", ""),
-    )
-    return ProblemInstance(
-        apps=tuple(apps),
-        platform=platform,
-        rule=MappingRule(meta.get("rule", "interval")),
-        model=CommunicationModel(meta.get("model", "overlap")),
-        energy_model=EnergyModel(alpha=meta.get("energy_alpha", 2.0)),
     )
 
 

@@ -29,7 +29,7 @@ The scalar reference implementations live in :mod:`repro.core.evaluation`
 agree to within 1e-9 relative tolerance on random instances.
 """
 
-from .context import BatchCriteria, EvaluationContext, attach_kernel_arrays
+from .context import BatchCriteria, EvaluationContext
 from .neighborhood import (
     CandidateBatch,
     generate_neighborhood,
@@ -46,7 +46,6 @@ __all__ = [
     "BatchCriteria",
     "CandidateBatch",
     "EvaluationContext",
-    "attach_kernel_arrays",
     "generate_neighborhood",
     "interval_cycle_matrix",
     "interval_energy_table",

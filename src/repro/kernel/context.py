@@ -37,7 +37,6 @@ __all__ = [
     "BatchCriteria",
     "EvaluationContext",
     "app_arrays",
-    "attach_kernel_arrays",
     "mapping_columns",
     "segment_sums",
 ]
@@ -178,52 +177,6 @@ def app_arrays(app: Application) -> Tuple[np.ndarray, np.ndarray]:
     arrays = (prefix, delta)
     object.__setattr__(app, "_kernel_arrays", arrays)
     return arrays
-
-
-def attach_kernel_arrays(
-    app: Application, prefix: np.ndarray, delta: np.ndarray
-) -> None:
-    """Install precomputed kernel arrays on an application.
-
-    The zero-copy entry point of the shared-memory transport
-    (:mod:`repro.service.transport`): a worker that reconstructed ``app``
-    from a shared segment attaches the segment's work-prefix and
-    data-size *views* here, so every :class:`EvaluationContext` built for
-    the application reads the shared buffer directly instead of
-    re-materializing the arrays from Python floats.  The caller
-    guarantees the views are bit-identical to what :func:`app_arrays`
-    would compute (the sender produced them from the same
-    ``Application`` state); shapes are validated, a mismatch raises.
-
-    Parameters
-    ----------
-    app:
-        The application to annotate.
-    prefix:
-        Shape ``(n + 1,)`` work-prefix sums (``prefix[0] == 0.0``).
-    delta:
-        Shape ``(n + 1,)`` data sizes (input size, then output sizes).
-
-    Raises
-    ------
-    InvalidApplicationError
-        When either array's shape does not match the application.
-    """
-    prefix = np.asarray(prefix, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    n = app.n_stages
-    if prefix.shape != (n + 1,) or delta.shape != (n + 1,):
-        raise InvalidApplicationError(
-            f"kernel arrays of shapes {prefix.shape}/{delta.shape} do not "
-            f"match an application with {n} stages"
-        )
-    if prefix.flags.writeable:
-        prefix = prefix.view()
-        prefix.setflags(write=False)
-    if delta.flags.writeable:
-        delta = delta.view()
-        delta.setflags(write=False)
-    object.__setattr__(app, "_kernel_arrays", (prefix, delta))
 
 
 class _MappingColumns:

@@ -59,7 +59,6 @@ __all__ = [
     "new_trace_id",
     "record_span",
     "recorder",
-    "set_ambient_trace",
     "span",
     "trace_context",
     "track",
@@ -221,6 +220,19 @@ class SpanRecorder:
 _RECORDER = SpanRecorder()
 
 
+def _fresh_locks_in_child() -> None:
+    """Give a forked child (a pool worker) unheld locks: the worker pool
+    forks replacement workers from its collector thread, while another
+    thread of the parent may be holding one of these."""
+    global _id_lock
+    _id_lock = threading.Lock()
+    _RECORDER._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_fresh_locks_in_child)
+
+
 def recorder() -> SpanRecorder:
     """Return the per-process global span recorder."""
     return _RECORDER
@@ -252,16 +264,6 @@ def current_trace_id() -> Optional[str]:
 def current_parent_id() -> Optional[str]:
     ctx = _TRACE.get()
     return ctx[1] if ctx is not None else None
-
-
-def set_ambient_trace(trace_id: Optional[str], parent_id: Optional[str] = None) -> None:
-    """Set the trace context for the rest of this thread/process.
-
-    Used by pool workers at startup: unlike :func:`trace_context` there is
-    no scope to restore — the worker's whole lifetime belongs to whatever
-    job context it was handed.
-    """
-    _TRACE.set((trace_id, parent_id) if trace_id else None)
 
 
 @contextmanager

@@ -14,9 +14,10 @@ Design notes
   first, equal priorities run in submission order.  A coalescing
   submission with a higher priority bumps its cell (lazy re-push; stale
   heap entries are skipped on pop).
-* **Execution reuses the batch service.**  Each cell is handed to an
-  executor (a process pool by default — solving is CPU-bound Python)
-  that runs :func:`repro.service.solve_batch` on the single instance,
+* **Execution reuses the batch service.**  Each cell is handed to the
+  process's worker pool (:mod:`repro.service.pool`; solving is
+  CPU-bound Python) or to a thread executor, which runs
+  :func:`repro.service.solve_batch` on the single instance,
   so strategies, budgets and telemetry behave exactly as in batch and
   campaign runs.  The cache record written afterwards is
   campaign-compatible: a later ``repro-pipelines campaign run`` over
@@ -41,7 +42,7 @@ import heapq
 import inspect
 import sys
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -55,7 +56,7 @@ from ..experiments.spec import SolverSpec
 from ..io import solution_to_dict
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
-from ..service import solve_batch
+from ..service import get_pool, solve_batch
 from .jobs import JobOutcome, JobRecord, JobState, new_job_id
 
 __all__ = [
@@ -93,21 +94,16 @@ class ServiceOverloadedError(ReproError):
 def solve_cell(
     problem: ProblemInstance,
     solver: SolverSpec,
-    transport: str = "auto",
     trace_id: Optional[str] = None,
     parent_id: Optional[str] = None,
 ):
-    """Solve one cell through the batch service (executor-side).
+    """Solve one cell through the batch service (pool-side).
 
-    Module-level (hence picklable) so it crosses a
-    ``ProcessPoolExecutor`` boundary; returns the single
-    :class:`repro.service.BatchItem`, which carries status, solution,
-    wall-clock and telemetry.  ``transport`` is threaded through to
-    :func:`repro.service.solve_batch` (it only engages when a runner
-    fans a cell out over workers; single-instance cells solve inline).
-    ``trace_id`` /
+    Module-level (hence picklable) so it crosses the worker-pool
+    boundary; returns the single :class:`repro.service.BatchItem`, which
+    carries status, solution, wall-clock and telemetry.  ``trace_id`` /
     ``parent_id`` re-establish the submission's trace context in the
-    executor process; the recorded solver-phase spans ride back to the
+    worker process; the recorded solver-phase spans ride back to the
     daemon on the returned item (``BatchItem.spans``).
     """
     with obs_spans.trace_context(trace_id, parent_id):
@@ -119,7 +115,6 @@ def solve_cell(
             strategy=solver.strategy,
             budget=solver.budget,
             workers=None,
-            transport=transport,
         )
     return batch.items[0]
 
@@ -171,11 +166,14 @@ class _Cell:
     submitted_mono: float = field(default_factory=time.monotonic)
 
 
-def _make_executor(executor: Union[str, Executor], concurrency: int) -> Tuple[Executor, bool]:
-    """Resolve the ``executor`` parameter to an instance + owned flag."""
+def _make_executor(
+    executor: Union[str, Executor], concurrency: int
+) -> Tuple[Optional[Executor], bool]:
+    """Resolve the ``executor`` parameter to an instance + owned flag;
+    ``None`` stands for the process's shared worker pool."""
     if isinstance(executor, str):
         if executor == "process":
-            return ProcessPoolExecutor(max_workers=concurrency), True
+            return None, False
         if executor == "thread":
             return ThreadPoolExecutor(max_workers=concurrency), True
         raise ValueError(
@@ -195,12 +193,15 @@ class SolveService:
         one, or ``None`` for an in-process :class:`MemoryCache`.
         Submissions whose cell key is present complete instantly.
     concurrency:
-        Number of cells solved at once (also the default executor
-        size).
+        Number of cells solved at once (also the size of the pool or
+        thread executor).
     executor:
-        ``"process"`` (default; real parallelism for CPU-bound solves),
-        ``"thread"`` (cheap, used in tests), or a ready-made
-        ``concurrent.futures.Executor``.
+        ``"process"`` (default; real parallelism for CPU-bound solves)
+        runs cells on the process's shared worker pool
+        (:func:`repro.service.get_pool`), started on the first dispatch;
+        a worker that dies fails only its own cell and is replaced.
+        ``"thread"`` (cheap, used in tests) or a ready-made
+        ``concurrent.futures.Executor`` are the test seams.
     runner:
         The callable executed per cell, ``(problem, solver) ->
         BatchItem``-like.  Defaults to :func:`solve_cell`; tests inject
@@ -214,11 +215,6 @@ class SolveService:
         the queue past it raises :class:`ServiceOverloadedError` (the
         HTTP layer maps this to ``429`` + ``Retry-After``).  Coalescing
         and cache-hit submissions are exempt — they add no queue work.
-    transport:
-        Instance transport handed to the default :func:`solve_cell`
-        runner (``"auto"``/``"shm"``/``"pickle"``, see
-        :func:`repro.service.solve_batch`); reported in
-        :meth:`metrics`.  Ignored for custom runners.
     shard:
         Optional shard identity of this daemon in a routed fleet
         (``repro-pipelines serve --shard-name``).  Surfaced in
@@ -244,7 +240,6 @@ class SolveService:
         runner: Optional[Callable[[ProblemInstance, SolverSpec], Any]] = None,
         max_jobs_retained: int = 4096,
         max_queue_depth: Optional[int] = None,
-        transport: str = "auto",
         shard: Optional[str] = None,
         slow_solve_threshold: Optional[float] = None,
     ) -> None:
@@ -259,16 +254,11 @@ class SolveService:
         self.cache = cache if cache is not None else MemoryCache()
         self.concurrency = concurrency
         self.max_queue_depth = max_queue_depth
-        self.transport = transport
         self.shard = shard
         self._executor, self._owns_executor = _make_executor(
             executor, concurrency
         )
-        self._runner = (
-            runner
-            if runner is not None
-            else functools.partial(solve_cell, transport=transport)
-        )
+        self._runner = runner if runner is not None else solve_cell
         # Custom runners (test stubs included) usually take a bare
         # ``(problem, solver)``; only pass the trace context through
         # when the runner's signature accepts it.
@@ -622,7 +612,6 @@ class SolveService:
                 "max_depth": self.max_queue_depth,
                 "shed": self._counters["shed"],
             },
-            "transport": self.transport,
             "jobs": dict(self._counters),
             "jobs_in_flight": self.jobs_in_flight,
             "solver": {
@@ -724,24 +713,22 @@ class SolveService:
                 if cell.trace_id is not None
                 else None
             )
+            trace = (
+                {"trace_id": cell.trace_id, "parent_id": dispatch_id}
+                if dispatch_id is not None and self._runner_takes_trace
+                else {}
+            )
+            call = functools.partial(
+                self._runner, cell.problem, cell.solver, **trace
+            )
             t0 = time.perf_counter()
             try:
-                if dispatch_id is not None and self._runner_takes_trace:
-                    runner = functools.partial(
-                        self._runner,
-                        cell.problem,
-                        cell.solver,
-                        trace_id=cell.trace_id,
-                        parent_id=dispatch_id,
+                if self._executor is None:
+                    item = await asyncio.wrap_future(
+                        get_pool(self.concurrency).submit(call)
                     )
-                    item = await loop.run_in_executor(self._executor, runner)
                 else:
-                    item = await loop.run_in_executor(
-                        self._executor,
-                        self._runner,
-                        cell.problem,
-                        cell.solver,
-                    )
+                    item = await loop.run_in_executor(self._executor, call)
                 outcome = JobOutcome.from_batch_item(item)
             except Exception as exc:  # contained: one bad cell, one error
                 outcome = JobOutcome(
@@ -757,7 +744,11 @@ class SolveService:
                     trace_id=cell.trace_id,
                     parent_id=cell.parent_span_id,
                     span_id=dispatch_id,
-                    executor=type(self._executor).__name__,
+                    executor=(
+                        "WorkerPool"
+                        if self._executor is None
+                        else type(self._executor).__name__
+                    ),
                     status=outcome.status,
                 )
             self._finish_cell(cell, outcome)

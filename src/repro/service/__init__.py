@@ -8,16 +8,13 @@ fast, not one at a time.  This package provides that serving layer:
   strings alias the registered strategies of :mod:`repro.strategies`,
   and ``strategy=``/``budget=`` accept any registered name or composite
   spec (``"portfolio(greedy,annealing)"``) with a per-solve budget;
-* :func:`solve_batch` -- fan a sequence of instances out over a
-  work-stealing process pool (or solve sequentially) with auto-sized
+* :func:`solve_batch` -- fan a sequence of instances out over the
+  process's worker pool (or solve sequentially) with auto-sized
   chunking, collecting per-instance :class:`BatchItem` records with
   timing, status and telemetry;
-* :mod:`repro.service.transport` -- the zero-copy instance transport:
-  one ``multiprocessing.shared_memory`` segment per batch, NumPy views
-  worker-side, selected via ``solve_batch(...,
-  transport="shm"|"pickle"|"auto")`` with a pickle fallback;
-* :mod:`repro.service.pool` -- the shared-queue work-stealing executor
-  with deterministic result ordering and worker-crash containment;
+* :mod:`repro.service.pool` -- the one long-lived work-stealing process
+  pool shared by batches, anytime fronts and the daemon, with
+  deterministic result ordering and worker-crash containment;
 * the ``repro-pipelines solve-batch`` CLI subcommand built on top.
 
 For a *persistent* front end — an HTTP daemon whose priority job queue
@@ -44,24 +41,15 @@ from .batch import (
     solve_batch,
     solve_one,
 )
-from .pool import PoolStats, run_work_stealing
-from .transport import (
-    ShmBatch,
-    ShmReader,
-    resolve_transport,
-    shm_available,
-)
+from .pool import PoolStats, close_pool, get_pool
 
 __all__ = [
     "BatchItem",
     "BatchResult",
     "PoolStats",
-    "ShmBatch",
-    "ShmReader",
+    "close_pool",
     "dispatch_method",
-    "resolve_transport",
-    "run_work_stealing",
-    "shm_available",
+    "get_pool",
     "solve_batch",
     "solve_one",
 ]

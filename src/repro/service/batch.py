@@ -15,28 +15,21 @@ Design notes
   boilerplate-free.  ``workers=None`` or ``workers<=1`` solves inline.
   Strategies cross the pool as their spec strings and are re-resolved
   worker-side.
-* Execution is *work-stealing* (:mod:`repro.service.pool`): job chunks
-  sit on one shared queue and workers pull whenever they run dry, so a
-  straggler instance no longer serializes the tail the way a static
-  ``Executor.map`` partition did.  Result ordering stays deterministic
-  (re-ordered by index in the parent) and worker death is contained to
-  ``status="error"`` items for the lost indices.
-* Instance payloads cross the pool through a pluggable *transport*
-  (:mod:`repro.service.transport`): ``transport="shm"`` packs every
-  instance's numeric arrays into one ``multiprocessing.shared_memory``
-  segment per batch and workers rebuild NumPy views without copying;
-  ``"pickle"`` is the classic per-job pickle; ``"auto"`` (default)
-  picks shm when available and worthwhile.  Both transports produce
-  byte-identical solutions.
-* The shared solve configuration (objective, method, thresholds,
-  strategy spec, budget — plus the shm descriptors under the shm
-  transport) is shipped *once per worker* instead of being re-pickled
-  into every job; job payloads carry only ``(index, problem)`` — or a
-  bare index under shm.  When every job solves the *same* instance (the
+* Execution runs on the process's one long-lived worker pool
+  (:mod:`repro.service.pool`): job chunks sit on one queue and idle
+  workers take the next one, so a straggler instance does not serialize
+  the tail.  Result ordering stays deterministic (futures in job order)
+  and a worker death is contained to ``status="error"`` items for the
+  jobs it had not finished.
+* Instances cross the pool pickled, inside the job chunks.  The shared
+  solve configuration (objective, method, thresholds, strategy spec,
+  budget, trace context) travels *once per worker per batch* instead of
+  inside every job.  When every job solves the *same* instance (the
   repeat-solve pattern, ``solve_batch([problem] * n)``), the instance
-  itself moves into the per-worker config too -- each worker receives
-  it once, prebuilds its :class:`~repro.kernel.EvaluationContext`
-  eagerly, and the jobs shrink to a bare index.
+  moves into that configuration too: each worker receives it once per
+  batch, builds its :class:`~repro.kernel.EvaluationContext` on the first
+  job and reuses it for every other one, and the jobs shrink to a bare
+  index.
 * Failures never poison a batch: each instance yields a
   :class:`BatchItem` whose ``status`` is ``"ok"``, ``"infeasible"``
   (:class:`~repro.core.exceptions.InfeasibleProblemError`) or ``"error"``
@@ -47,19 +40,19 @@ Design notes
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 # Imported eagerly, though only the strategies call into it: pool workers
-# are forked per batch and inherit the loaded solvers instead of each
-# importing them on its first solve (about 45 ms per worker on a 2-vCPU
-# x86-64 host).
+# are forked from this process and inherit the loaded solvers instead of
+# each importing them on its first solve (about 45 ms per worker on a
+# 2-vCPU x86-64 host).
 from .. import algorithms  # noqa: F401
 from ..core.exceptions import InfeasibleProblemError
 from ..core.objectives import Thresholds
 from ..core.problem import ProblemInstance, Solution
-from ..core.types import Criterion
 from ..obs import spans as _spans
 from ..strategies import (
     BudgetMeter,
@@ -70,8 +63,7 @@ from ..strategies import (
     parse_strategy,
     solve_via_method,
 )
-from .pool import run_work_stealing
-from .transport import ShmBatch, resolve_transport
+from . import pool as _pool
 
 __all__ = [
     "BatchItem",
@@ -197,10 +189,6 @@ class BatchResult:
     #: End-to-end wall-clock of the batch (seconds), including pool setup.
     total_time: float
     stats: Dict[str, float] = field(default_factory=dict)
-    #: Effective instance transport: ``"inline"`` (sequential),
-    #: ``"pickle"`` or ``"shm"`` — the *resolved* value, after any
-    #: ``"auto"`` selection or shared-memory fallback.
-    transport: str = "inline"
 
     @property
     def n_ok(self) -> int:
@@ -224,51 +212,65 @@ class BatchResult:
         return (
             f"{self.n_ok}/{len(self.items)} ok "
             f"({self.n_failed} errors) objective={self.objective} "
-            f"workers={self.workers} transport={self.transport} "
+            f"workers={self.workers} "
             f"wall={self.total_time:.3f}s cpu={self.solve_time:.3f}s"
         )
 
 
-#: Per-worker solve configuration, installed once by :func:`_init_worker`
-#: (via the pool initializer) instead of travelling inside every job.
-_WORKER_CONFIG: Dict[str, object] = {}
-
-
-def _init_worker(config: Dict[str, object]) -> None:
-    """Pool initializer: install the shared solve configuration and,
-    when all jobs target one instance, prebuild its evaluation context
-    so every solve in this worker starts from warm kernel tables."""
-    _WORKER_CONFIG.clear()
-    _WORKER_CONFIG.update(config)
-    trace = config.get("trace")
-    if trace is not None:
-        # The whole worker lifetime belongs to this batch's trace; spans
-        # recorded here are drained back to the parent on each item.
-        _spans.set_ambient_trace(trace[0], trace[1])
-    shared = config.get("problem")
-    if shared is not None:
-        shared.evaluation_context()
-
-
 def _solve_indexed(
-    args: Tuple[int, Optional[ProblemInstance]],
+    config: Dict[str, Any], index: int, problem: Optional[ProblemInstance]
 ) -> BatchItem:
-    """Worker-side wrapper around :func:`_solve_job`: job payloads carry
-    only ``(index, problem)`` -- or ``(index, None)`` when the instance
-    was shipped through the initializer."""
-    index, problem = args
-    config = _WORKER_CONFIG
-    if problem is None:
-        problem = config["problem"]
-    return _solve_job(
-        index,
-        problem,
-        config["objective"],
-        config["method"],
-        config["thresholds"],
-        config["strategy"],
-        config["budget"],
+    """Pool job: solve one indexed instance under the batch's shared
+    configuration; ``problem`` is ``None`` when the instance itself
+    travelled in ``config`` (the shared-instance path).
+
+    ``config`` also carries two test seams: ``_crash_on_index`` kills the
+    worker hard (no cleanup, like a segfault or OOM kill) before that
+    job, ``_exit_after_index`` retires it once the job's task is sent.
+    """
+    if index == config.get("_crash_on_index"):
+        os._exit(13)
+    trace = config["trace"] or (None, None)
+    with _spans.trace_context(*trace):
+        item = _solve_job(
+            index,
+            config["problem"] if problem is None else problem,
+            config["objective"],
+            config["method"],
+            config["thresholds"],
+            config["strategy"],
+            config["budget"],
+        )
+    if index == config.get("_exit_after_index"):
+        _pool._retire_after_task()
+    return item
+
+
+def _solve_pooled(
+    jobs: Sequence[Tuple[int, Optional[ProblemInstance]]],
+    config: Dict[str, Any],
+    n_workers: int,
+    chunksize: int,
+) -> Tuple[List[BatchItem], _pool.PoolStats]:
+    """Run ``(index, problem)`` jobs on the shared pool of ``n_workers``;
+    a job whose worker died (or that raised) becomes an error item."""
+    futures, stats = _pool.get_pool(n_workers).map(
+        _solve_indexed, jobs, chunksize, config
     )
+    items = []
+    for (index, _problem), future in zip(jobs, futures):
+        exc = future.exception()
+        items.append(
+            future.result()
+            if exc is None
+            else BatchItem(
+                index=index,
+                status="error",
+                wall_time=0.0,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+        )
+    return items, stats
 
 
 def _solve_job(
@@ -387,7 +389,6 @@ def solve_batch(
     chunksize: Optional[int] = None,
     strategy: Optional[StrategyLike] = None,
     budget: Optional[SolveBudget] = None,
-    transport: str = "auto",
 ) -> BatchResult:
     """Solve many instances, optionally fanning out over a process pool.
 
@@ -401,28 +402,19 @@ def solve_batch(
         budget applies *per solve*, not to the whole batch.
     workers:
         ``None`` or ``<= 1`` solves sequentially in-process; ``n >= 2``
-        fans out over ``n`` work-stealing worker processes
-        (:mod:`repro.service.pool`).
+        fans out over the process's shared pool of ``n`` workers
+        (:mod:`repro.service.pool`), started on first use.  Inside a pool
+        worker the batch solves inline.
     chunksize:
         Work-unit granularity: jobs per task-queue entry.  ``None``
         (default) auto-sizes to ``max(1, len(problems) // (4 *
         workers))``; pass an explicit value to override (``1`` =
         per-job stealing, maximal balance, maximal queue traffic).
-    transport:
-        How instance payloads reach the workers — ``"shm"`` (one
-        shared-memory segment per batch, zero-copy NumPy views
-        worker-side), ``"pickle"`` (per-job pickling) or ``"auto"``
-        (default: shm when available and the batch payload clears
-        :data:`~repro.service.transport.SHM_AUTO_MIN_BYTES`).  ``"shm"``
-        degrades to ``"pickle"`` when shared memory is unavailable; the
-        resolved value is reported on ``BatchResult.transport``.  Both
-        transports produce byte-identical solutions.
-
     Returns
     -------
     BatchResult
         Per-instance :class:`BatchItem` records plus batch-level timing
-        and transport accounting (``stats["bytes_pickled_per_job"]``).
+        and pool accounting (``stats["bytes_pickled_per_job"]``).
     """
     if objective not in _OBJECTIVES:
         raise ValueError(
@@ -432,7 +424,7 @@ def solve_batch(
         parse_strategy(strategy)  # fail fast on a bad spec, pre-pool
     problems = list(problems)
     # Repeat-solve pattern: one instance solved many times travels to
-    # each worker once (initializer) instead of once per job.
+    # each worker once per batch instead of once per job.
     shared = (
         problems[0]
         if problems and all(p is problems[0] for p in problems[1:])
@@ -441,7 +433,7 @@ def solve_batch(
     n_workers = 0 if workers is None else int(workers)
     t0 = time.perf_counter()
     extra_stats: Dict[str, float] = {}
-    if n_workers <= 1:
+    if n_workers <= 1 or _pool.in_worker():
         items: List[BatchItem] = [
             _solve_job(
                 i, problem, objective, method, thresholds, strategy, budget
@@ -449,64 +441,36 @@ def solve_batch(
             for i, problem in enumerate(problems)
         ]
         effective_workers = 1
-        effective_transport = "inline"
     else:
-        effective_transport = resolve_transport(transport, problems, shared)
         active_trace = _spans.current_trace_id()
-        config: Dict[str, object] = {
+        config: Dict[str, Any] = {
             "objective": objective,
             "method": method,
             "thresholds": thresholds,
             "strategy": strategy,
             "budget": budget,
             "problem": shared,
-            # Trace context crosses the pool inside the per-worker
-            # config; workers re-establish it in the initializer.
+            # Trace context crosses the pool inside the shared config;
+            # each job re-establishes it around its solve.
             "trace": (
                 None
                 if active_trace is None
                 else (active_trace, _spans.current_parent_id())
             ),
         }
-        shm_batch = None
-        if effective_transport == "shm":
-            try:
-                shm_batch = ShmBatch.pack(problems)
-            except Exception:
-                # Allocation failed (full /dev/shm, exotic platform):
-                # the documented degradation is per-job pickling.
-                effective_transport = "pickle"
-            else:
-                config["shm_descriptors"] = shm_batch.descriptors
-        try:
-            jobs = [
-                (
-                    i,
-                    problem
-                    if shared is None and effective_transport != "shm"
-                    else None,
-                )
-                for i, problem in enumerate(problems)
-            ]
-            effective_workers = min(n_workers, max(1, len(jobs)))
-            effective_chunksize = (
-                chunksize
-                if chunksize is not None
-                else _auto_chunksize(len(jobs), effective_workers)
-            )
-            items, pool_stats = run_work_stealing(
-                jobs,
-                config,
-                effective_workers,
-                effective_chunksize,
-                shm_name=None if shm_batch is None else shm_batch.name,
-            )
-        finally:
-            # One finally covers normal completion, worker crashes and
-            # KeyboardInterrupt: the parent owns the segment and always
-            # unlinks it.
-            if shm_batch is not None:
-                shm_batch.close_and_unlink()
+        jobs = [
+            (i, problem if shared is None else None)
+            for i, problem in enumerate(problems)
+        ]
+        effective_workers = min(n_workers, max(1, len(jobs)))
+        items, pool_stats = _solve_pooled(
+            jobs,
+            config,
+            n_workers,
+            chunksize
+            if chunksize is not None
+            else _auto_chunksize(len(jobs), effective_workers),
+        )
         extra_stats = {
             "bytes_job_payload": float(pool_stats.bytes_jobs),
             "bytes_pickled_per_job": (
@@ -516,8 +480,6 @@ def solve_batch(
             "n_chunks": float(pool_stats.n_chunks),
             "n_crashed_workers": float(pool_stats.n_crashed),
         }
-        if shm_batch is not None:
-            extra_stats["bytes_shm_segment"] = float(shm_batch.nbytes)
     total = time.perf_counter() - t0
     solve_time = sum(x.wall_time for x in items)
     return BatchResult(
@@ -533,5 +495,4 @@ def solve_batch(
             ),
             **extra_stats,
         },
-        transport=effective_transport,
     )

@@ -1,72 +1,99 @@
-"""Work-stealing process pool for :func:`repro.service.solve_batch`.
+"""The one process pool of :mod:`repro`: a long-lived work-stealing
+:class:`WorkerPool` shared by every pooled surface of the process.
 
-``ProcessPoolExecutor.map`` hands each worker a *static* slice of the
-batch up front; one straggler chunk (a budgeted NP-hard cell racing a
-portfolio) serializes the whole tail while the other workers idle.  This
-module replaces it with the classic shared-queue shape:
+Three callers run on it:
 
-* the parent pre-pickles the batch into *chunks* (the existing
-  ``chunksize`` granularity) and puts them on one shared task queue;
-* ``n`` plain :class:`multiprocessing.Process` workers pull chunks
-  whenever they run dry — stragglers steal nothing from anyone, idle
-  workers steal the remaining chunks;
-* results stream back over one shared result pipe and are re-ordered by
-  index in the parent, so the caller-visible ordering is deterministic
-  regardless of which worker solved what.  Workers write each result
-  synchronously under a shared lock (no feeder thread), so a result is
-  in the pipe before the worker takes its next job.
+* :func:`repro.service.solve_batch` with ``workers=n`` (and so
+  :func:`repro.experiments.run_campaign`) through :meth:`WorkerPool.map`:
+  the batch is cut into chunks, the per-batch solve configuration travels
+  once per worker per batch, and results come back in job order;
+* :func:`repro.analysis.front_engine.compute_front_anytime` with
+  ``workers=n`` through :meth:`WorkerPool.submit`, whose futures feed its
+  sliding window;
+* :class:`repro.server.service.SolveService` with ``executor="process"``,
+  through :meth:`WorkerPool.submit` and ``asyncio.wrap_future``.
 
-Raw processes (not an ``Executor``) because a shared task queue cannot
-cross the ``initargs`` pickle boundary — queues are inherited, not
-pickled.  Chunks are pickled *once, by the parent* (``pickle.dumps``
-before enqueue), which is also what makes the transport benchmarks
-honest: :class:`PoolStats` reports exactly the bytes that crossed the
-job pipe, with no double serialization.
-
-Failure containment extends PR 3's per-item guarantee to worker death:
-a chunk lost to a crashed worker (segfault, ``os._exit``, OOM kill)
-surfaces as ``status="error"`` items for the missing indices — the
-surviving workers keep draining the queue and the batch still returns
-every index exactly once.  Because results are written synchronously, a
-worker that dies between jobs loses none of the results it finished and
-never dies holding the write lock (a ``multiprocessing.Queue`` feeder
-thread killed mid-write would leave the lock held and block every
-surviving worker for good).
+Shape
+-----
+* :func:`get_pool` starts the pool lazily on first use with the requested
+  size; a call asking for another size closes it and starts a new one.
+* Every worker has its own pipe.  The parent keeps one FIFO of pending
+  tasks (a task is a chunk of jobs, or one submitted call) and hands the
+  next one to whichever worker comes back idle, so idle workers take the
+  remaining chunks while a straggler holds only its own.  One collector
+  thread waits on every pipe and every worker's process sentinel.
+* Workers write each result synchronously on their own pipe: no feeder
+  thread and no shared lock, so a result is in the pipe before the worker
+  starts its next job, and a dying worker can neither lose a result it
+  sent nor leave a lock held for the others.
+* A worker acknowledges each task before running it.  When a worker dies
+  (segfault, ``os._exit``, OOM kill), a task it had not acknowledged goes
+  back to the head of the queue (none of it ran), the unfinished jobs of
+  an acknowledged task fail with :class:`WorkerDiedError`, and a
+  replacement worker is started, so the next call has the full size again.
+* Workers are daemonic (they cannot fork), ignore SIGINT (the parent owns
+  Ctrl-C), and exit on :meth:`WorkerPool.close`, at the parent's
+  interpreter exit, or on their own once their parent has died.  A pooled
+  call made inside a worker must run inline: :func:`in_worker` tells.
 """
 
 from __future__ import annotations
 
+import atexit
+import collections
+import itertools
+import multiprocessing as mp
 import os
 import pickle
-import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import signal
+import threading
+from concurrent.futures import Future, wait
+from dataclasses import dataclass, field
+from multiprocessing import connection
+from typing import Any, Callable, Deque, List, Optional, Sequence, Set, Tuple
 
-import multiprocessing as mp
+__all__ = [
+    "PoolStats",
+    "WorkerDiedError",
+    "WorkerPool",
+    "close_pool",
+    "get_pool",
+    "in_worker",
+]
 
-from .transport import ShmReader
+#: How often an idle worker checks that its parent is still alive.
+_PARENT_POLL_S = 0.5
 
-__all__ = ["PoolStats", "run_work_stealing"]
+#: How long :meth:`WorkerPool.close` lets a busy worker finish its task
+#: before terminating it.
+_JOIN_S = 5.0
 
-#: Empty bytes on the task queue = "no more chunks, exit now".  One is
-#: enqueued per worker, after all chunks.
-_SENTINEL = b""
+_PICKLE = pickle.HIGHEST_PROTOCOL
 
-#: Parent-side poll interval while waiting on the result pipe; each
-#: timeout is used to re-check worker liveness.
-_POLL_SECONDS = 0.2
+#: True inside a pool worker process.
+_IN_WORKER = False
+
+#: Worker-side test seam: set by :func:`_retire_after_task` to make the
+#: worker exit (code 9) once its current task's results are sent.
+_EXIT_AFTER_TASK = False
+
+
+class WorkerDiedError(RuntimeError):
+    """A job's worker process died before returning its result."""
 
 
 @dataclass(frozen=True)
 class PoolStats:
-    """Transport accounting for one pool run.
+    """Transport accounting for one :meth:`WorkerPool.map` call.
 
-    ``bytes_jobs`` is the total pickled size of every job chunk that
-    crossed the task queue (the per-job figure reported by the
-    benchmarks is ``bytes_jobs / n_jobs``); ``bytes_config`` is the
-    per-worker configuration shipped once per process (config dict,
-    plus shm descriptors under the shm transport).  ``n_crashed``
-    counts workers that exited with a nonzero code.
+    ``bytes_jobs`` is the total pickled size of every job chunk sent to
+    the workers (the per-job figure reported by the benchmarks is
+    ``bytes_jobs / n_jobs``); ``bytes_config`` is the shared payload
+    (the batch's solve configuration) times the number of workers it was
+    actually sent to.  ``n_crashed`` counts workers seen to die while
+    the call ran; a worker that exits right after its last task may be
+    seen only after the call returns (:attr:`WorkerPool.n_crashed`
+    counts it then).
     """
 
     bytes_jobs: int
@@ -75,190 +102,378 @@ class PoolStats:
     n_crashed: int
 
 
-def _pool_worker(
-    task_q, result_w, result_lock, config: Dict[str, Any], shm_name
-) -> None:
-    """Worker loop: attach (shm transport), drain chunks until the
-    sentinel, send one :class:`~repro.service.batch.BatchItem` per
-    index back to the parent over the shared result pipe."""
-    # Lazy import: batch.py imports this module at the top level; the
-    # worker only runs post-fork, when both modules are fully loaded.
-    from ..obs.spans import recorder as _span_recorder
-    from .batch import _init_worker, _solve_indexed, _solve_job
+def in_worker() -> bool:
+    """Whether this process is a pool worker (pooled calls run inline)."""
+    return _IN_WORKER
+
+
+def _retire_after_task() -> None:
+    """Test seam, called from a job: exit this worker once the current
+    task's results are sent -- worker churn between tasks."""
+    global _EXIT_AFTER_TASK
+    _EXIT_AFTER_TASK = True
+
+
+@dataclass(eq=False)
+class _Batch:
+    """The shared payload of one :meth:`WorkerPool.map` call."""
+
+    key: int
+    blob: bytes
+    bytes_sent: int = 0
+
+
+@dataclass(eq=False)
+class _Task:
+    """One unit of dispatch: a pickled function and a pickled chunk of
+    jobs, one future per job; ``open`` holds the positions still owed."""
+
+    key: int
+    fn: bytes
+    jobs: bytes
+    futures: List[Future]
+    batch: Optional[_Batch] = None
+    acked: bool = False
+    open: Set[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.open = set(range(len(self.futures)))
+
+
+@dataclass(eq=False)
+class _Worker:
+    """A worker process, the parent's end of its pipe, the task it runs
+    and the batch whose shared payload it holds."""
+
+    proc: Any
+    conn: Any
+    task: Optional[_Task] = None
+    batch_key: Optional[int] = None
+
+
+def _worker_main(conn, parent_pid: int) -> None:
+    """Worker loop: run tasks until the stop message, an EOF, or the
+    parent's death; acknowledge each task, then send one reply per job."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    from ..obs.spans import recorder
 
     # Label this process's spans so a merged trace shows which pool
-    # worker ran each solve (the trace context itself is installed by
-    # ``_init_worker`` from ``config["trace"]``).
-    _span_recorder().configure(proc="pool-%d" % os.getpid())
-    _init_worker(config)
-    crash_on = config.get("_crash_on_index")
-    exit_after = config.get("_exit_after_index")
-    descriptors = config.get("shm_descriptors")
-    reader = ShmReader(shm_name) if shm_name is not None else None
+    # worker ran each solve.
+    recorder().configure(proc="pool-%d" % os.getpid())
+    shared: Any = None
+    while True:
+        try:
+            while not conn.poll(_PARENT_POLL_S):
+                if os.getppid() != parent_pid:
+                    return
+            message = conn.recv()
+            if message is None:
+                return
+            key, fn_blob, batch_key, shared_blob, jobs_blob = message
+            conn.send((key, -1, True, None))
+        except (EOFError, OSError):
+            return  # the parent is gone
+        fn = pickle.loads(fn_blob)
+        if shared_blob is not None:
+            shared = pickle.loads(shared_blob)
+        for pos, args in enumerate(pickle.loads(jobs_blob)):
+            if batch_key is not None:
+                args = (shared, *args)
+            try:
+                reply = (key, pos, True, fn(*args))
+            except Exception as exc:
+                reply = (key, pos, False, _portable(exc))
+            try:
+                conn.send(reply)
+            except OSError:
+                return  # the parent is gone
+            except Exception as exc:  # the result would not pickle
+                conn.send((key, pos, False, _portable(exc)))
+        if _EXIT_AFTER_TASK:
+            os._exit(9)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """``exc`` if it survives a pickle round trip, else a RuntimeError
+    carrying its message (the parent must be able to unpickle it)."""
     try:
-        while True:
-            blob = task_q.get()
-            if blob == _SENTINEL:
-                break
-            chunk = pickle.loads(blob)
-            for index, payload in chunk:
-                if crash_on is not None and index == crash_on:
-                    # Test seam: die *hard* (no cleanup, like a segfault
-                    # or OOM kill) so crash containment is exercised for
-                    # real.  See tests/service/test_transport.py.
-                    os._exit(13)
-                if reader is not None:
-                    item = _solve_job(
-                        index,
-                        reader.decode(descriptors[index]),
-                        config["objective"],
-                        config["method"],
-                        config["thresholds"],
-                        config["strategy"],
-                        config["budget"],
-                    )
-                else:
-                    item = _solve_indexed((index, payload))
-                with result_lock:
-                    result_w.send(item)
-            if exit_after is not None and any(
-                index == exit_after for index, _ in chunk
-            ):
-                # Test seam: die *between* chunks, results sent — the
-                # `maxtasksperchild`-style churn shape (a worker
-                # recycled after finishing its unit of work).  Unlike
-                # `_crash_on_index`, nothing is lost: the queue keeps
-                # the remaining chunks for the surviving workers.
-                os._exit(9)
-    except KeyboardInterrupt:  # pragma: no cover - parent handles teardown
-        pass
-    finally:
-        if reader is not None:
-            reader.close()
+        pickle.loads(pickle.dumps(exc, protocol=_PICKLE))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def run_work_stealing(
-    jobs: Sequence[Tuple[int, Any]],
-    config: Dict[str, Any],
-    n_workers: int,
-    chunksize: int,
-    shm_name: Optional[str] = None,
-) -> Tuple[List[Any], PoolStats]:
-    """Run a batch through the work-stealing pool.
+def _settle(outcomes: List[Tuple[Future, bool, Any]]) -> None:
+    """Resolve futures outside the pool lock (done-callbacks may call
+    back into the pool)."""
+    for future, ok, value in outcomes:
+        if ok:
+            future.set_result(value)
+        else:
+            future.set_exception(value)
 
-    Parameters
-    ----------
-    jobs:
-        ``(index, payload)`` pairs; ``payload`` is a problem instance
-        under the pickle transport and ``None`` under shm (the worker
-        decodes ``config["shm_descriptors"][index]``) or the
-        shared-instance path.
-    config:
-        The per-worker solve configuration (see ``_init_worker``),
-        shipped once per process.
-    n_workers:
-        Number of worker processes to fork.
-    chunksize:
-        Work-unit granularity: jobs per queue entry.
-    shm_name:
-        Shared-memory segment name for workers to attach, or ``None``
-        for the pickle / shared-instance transports.
 
-    Returns
-    -------
-    (items, stats)
-        ``items`` index-ordered, exactly one per job — indices lost to
-        a crashed worker come back as ``status="error"`` items — plus
-        the :class:`PoolStats` transport accounting.
+class WorkerPool:
+    """A fixed-size pool of long-lived worker processes.
+
+    Use the process-wide instance from :func:`get_pool` rather than
+    building one: every pooled surface shares it.
     """
-    from .batch import BatchItem
 
-    n_jobs = len(jobs)
-    chunks = [
-        pickle.dumps(jobs[i : i + chunksize], protocol=pickle.HIGHEST_PROTOCOL)
-        for i in range(0, n_jobs, chunksize)
-    ]
-    bytes_config = len(
-        pickle.dumps(config, protocol=pickle.HIGHEST_PROTOCOL)
-    ) * n_workers
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
+        self.size = size
+        self.n_crashed = 0
+        self._ctx = mp.get_context()
+        self._lock = threading.Lock()
+        self._workers: List[_Worker] = []
+        self._queue: Deque[_Task] = collections.deque()
+        self._keys = itertools.count()
+        self._closed = False
+        with self._lock:
+            for _ in range(size):
+                self._spawn_locked()
+        # Started after the first forks, so no worker inherits a copy of
+        # the collector's state mid-update.
+        self._collector = threading.Thread(
+            target=self._collect, name="repro-pool-collector", daemon=True
+        )
+        self._collector.start()
 
-    ctx = mp.get_context()
-    task_q = ctx.Queue()
-    result_r, result_w = ctx.Pipe(duplex=False)
-    result_lock = ctx.Lock()
-    for blob in chunks:
-        task_q.put(blob)
-    for _ in range(n_workers):
-        task_q.put(_SENTINEL)
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
-    procs = [
-        ctx.Process(
-            target=_pool_worker,
-            args=(task_q, result_w, result_lock, config, shm_name),
+    def worker_pids(self) -> List[int]:
+        """Pids of the live workers."""
+        with self._lock:
+            return [w.proc.pid for w in self._workers]
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
+        """Run ``fn(*args)`` in a worker; ``fn`` and ``args`` must pickle.
+
+        The future fails with :class:`WorkerDiedError` when its worker
+        dies mid-call, and with the worker-side exception when ``fn``
+        raises.
+        """
+        future: Future = Future()
+        fn_blob = pickle.dumps(fn, protocol=_PICKLE)
+        args_blob = pickle.dumps([args], protocol=_PICKLE)
+        self._put([_Task(next(self._keys), fn_blob, args_blob, [future])])
+        return future
+
+    def map(
+        self,
+        fn: Callable[..., Any],
+        jobs: Sequence[Tuple[Any, ...]],
+        chunksize: int,
+        shared: Any,
+    ) -> Tuple[List[Future], PoolStats]:
+        """Run ``fn(shared, *job)`` for every job, ``chunksize`` jobs per
+        task, and block until every job has an outcome.
+
+        ``shared`` is pickled once and sent once per worker that runs a
+        chunk of this call.  Returns one done future per job, in job
+        order, plus the call's :class:`PoolStats`.
+        """
+        fn_blob = pickle.dumps(fn, protocol=_PICKLE)
+        batch = _Batch(next(self._keys), pickle.dumps(shared, protocol=_PICKLE))
+        futures: List[Future] = [Future() for _ in jobs]
+        tasks = [
+            _Task(
+                next(self._keys),
+                fn_blob,
+                pickle.dumps(list(jobs[lo : lo + chunksize]), protocol=_PICKLE),
+                futures[lo : lo + chunksize],
+                batch,
+            )
+            for lo in range(0, len(jobs), chunksize)
+        ]
+        crashed_before = self.n_crashed
+        self._put(tasks)
+        wait(futures)
+        return futures, PoolStats(
+            bytes_jobs=sum(len(task.jobs) for task in tasks),
+            bytes_config=batch.bytes_sent,
+            n_chunks=len(tasks),
+            n_crashed=self.n_crashed - crashed_before,
+        )
+
+    def close(self) -> None:
+        """Stop the pool: pending tasks fail, running ones get
+        :data:`_JOIN_S` seconds to finish, then every worker is gone."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            dropped = list(self._queue)
+            self._queue.clear()
+            workers = list(self._workers)
+            for worker in workers:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+        error = RuntimeError("worker pool closed before running this job")
+        _settle([(f, False, error) for task in dropped for f in task.futures])
+        # The collector reaps every worker as it exits and returns once
+        # none is left; it is the only thread that joins them.
+        self._collector.join(_JOIN_S)
+        if self._collector.is_alive():
+            # Popen only signals a process nobody has waited for, so a
+            # worker the collector already reaped is skipped.
+            for worker in workers:
+                worker.proc.terminate()
+            self._collector.join()
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+    def _spawn_locked(self) -> None:
+        parent_conn, child_conn = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, os.getpid()),
+            name="repro-pool-worker",
             daemon=True,
         )
-        for _ in range(n_workers)
-    ]
-    results: Dict[int, Any] = {}
-    try:
-        for proc in procs:
-            proc.start()
-        while len(results) < n_jobs:
-            if result_r.poll(_POLL_SECONDS):
-                item = result_r.recv()
-                results[item.index] = item
-            elif all(proc.exitcode is not None for proc in procs):
-                # Every worker is gone; whatever is still in the pipe
-                # drains below, then missing indices are filled in as
-                # crash errors.
-                break
-        deadline = time.monotonic() + 1.0
-        while len(results) < n_jobs and time.monotonic() < deadline:
-            if not result_r.poll(_POLL_SECONDS):
-                break
-            item = result_r.recv()
-            results[item.index] = item
-        # Workers exit on their own via the sentinels; join them before
-        # the teardown below so a normal completion is not miscounted
-        # as a crash by terminate().
-        for proc in procs:
-            proc.join(timeout=5.0)
-        n_crashed = sum(
-            1 for proc in procs if proc.exitcode not in (0, None)
-        )
-    finally:
-        for proc in procs:
-            if proc.exitcode is None:
-                proc.terminate()
-        for proc in procs:
-            proc.join(timeout=5.0)
-        # Unblock interpreter shutdown even with unread queue buffers
-        # (KeyboardInterrupt mid-batch leaves chunks on the task queue).
-        task_q.close()
-        task_q.cancel_join_thread()
-        result_r.close()
-        result_w.close()
+        proc.start()
+        child_conn.close()
+        self._workers.append(_Worker(proc, parent_conn))
 
-    items: List[Any] = []
-    for index, _payload in jobs:
-        if index in results:
-            items.append(results[index])
-        else:
-            items.append(
-                BatchItem(
-                    index=index,
-                    status="error",
-                    wall_time=0.0,
-                    error=(
-                        "worker process died before returning this result "
-                        f"({n_crashed} worker(s) crashed)"
-                    ),
-                )
+    def _put(self, tasks: List[_Task]) -> None:
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("worker pool is closed")
+            for task in tasks:
+                # Running from the start: a queued job cannot be cancelled.
+                for future in task.futures:
+                    future.set_running_or_notify_cancel()
+            self._queue.extend(tasks)
+            self._dispatch_locked()
+
+    def _dispatch_locked(self) -> None:
+        idle = [w for w in self._workers if w.task is None]
+        while idle and self._queue:
+            task = self._queue.popleft()
+            worker = idle.pop(0)
+            worker.task = task
+            batch = task.batch
+            shared_blob = None
+            if batch is not None and worker.batch_key != batch.key:
+                shared_blob = batch.blob
+                worker.batch_key = batch.key
+                batch.bytes_sent += len(shared_blob)
+            message = (
+                task.key,
+                task.fn,
+                None if batch is None else batch.key,
+                shared_blob,
+                task.jobs,
             )
-    stats = PoolStats(
-        bytes_jobs=sum(len(blob) for blob in chunks),
-        bytes_config=bytes_config,
-        n_chunks=len(chunks),
-        n_crashed=n_crashed,
-    )
-    return items, stats
+            try:
+                worker.conn.send(message)
+            except OSError:
+                pass  # the worker just died; its sentinel requeues the task
+
+    def _collect(self) -> None:
+        """Collector thread: route replies to futures, bury dead workers,
+        start their replacements, and keep idle workers fed."""
+        while True:
+            with self._lock:
+                if self._closed and not self._workers:
+                    return
+                waitables = [w.conn for w in self._workers]
+                waitables += [w.proc.sentinel for w in self._workers]
+            ready = set(connection.wait(waitables))
+            outcomes: List[Tuple[Future, bool, Any]] = []
+            with self._lock:
+                for worker in list(self._workers):
+                    if worker.conn in ready:
+                        self._drain_locked(worker, outcomes)
+                    if worker.proc.sentinel in ready:
+                        self._drain_locked(worker, outcomes)
+                        self._bury_locked(worker, outcomes)
+                if not self._closed:
+                    self._dispatch_locked()
+            _settle(outcomes)
+
+    def _drain_locked(self, worker: _Worker, outcomes) -> None:
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                key, pos, ok, value = worker.conn.recv()
+            except (EOFError, OSError):
+                return  # dead or dying; its sentinel follows
+            task = worker.task
+            if task is None or task.key != key:
+                continue
+            if pos < 0:
+                task.acked = True
+                continue
+            task.open.discard(pos)
+            outcomes.append((task.futures[pos], ok, value))
+            if not task.open:
+                worker.task = None
+
+    def _bury_locked(self, worker: _Worker, outcomes) -> None:
+        self._workers.remove(worker)
+        worker.proc.join()
+        worker.conn.close()
+        if worker.proc.exitcode != 0:
+            self.n_crashed += 1
+        task = worker.task
+        if task is not None and (task.acked or self._closed):
+            error = WorkerDiedError(
+                f"worker process {worker.proc.pid} died (exit code "
+                f"{worker.proc.exitcode}) before returning this result"
+            )
+            outcomes.extend((task.futures[p], False, error) for p in sorted(task.open))
+        elif task is not None:
+            self._queue.appendleft(task)  # none of it ran
+        if not self._closed:
+            self._spawn_locked()
+
+
+_POOL: Optional[WorkerPool] = None
+_POOL_LOCK = threading.Lock()
+
+
+def get_pool(size: int) -> WorkerPool:
+    """The process-wide pool with ``size`` workers, started on first use;
+    a different ``size`` closes the running pool and starts a new one.
+
+    Raises
+    ------
+    RuntimeError
+        Inside a pool worker (workers cannot fork; run the call inline).
+    """
+    global _POOL
+    if _IN_WORKER:
+        raise RuntimeError("a pool worker cannot start a pool; run the call inline")
+    with _POOL_LOCK:
+        if _POOL is None or _POOL.size != size or _POOL.closed:
+            if _POOL is not None:
+                _POOL.close()
+            _POOL = WorkerPool(size)
+        return _POOL
+
+
+def close_pool() -> None:
+    """Close the process-wide pool, if one is running (also run at
+    interpreter exit)."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.close()
+
+
+atexit.register(close_pool)

@@ -6,8 +6,9 @@ Two combinators turn atomic strategies into pipelines:
   the best-objective feasible solution.  The budget is split across
   members (member ``i`` of ``n`` gets ``remaining / (n - i)`` of the
   wall-clock and evaluation budget, so early finishers donate their
-  leftovers to later members); with ``workers > 1`` the members race
-  concurrently over a process pool, each getting the full wall-clock.
+  leftovers to later members).  Members run one after the other in the
+  calling process; parallelism lives one level up, in the pool that runs
+  many solves at once (:func:`repro.service.solve_batch`).
 * :func:`fallback` — *chain* its members: each gets the full remaining
   budget, and the first feasible solution wins.
 
@@ -21,7 +22,6 @@ everywhere a strategy name is: :func:`repro.service.solve_one` /
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..core.objectives import Thresholds
@@ -124,13 +124,6 @@ def _seed_offsets(members: Sequence[SolverStrategy]) -> List[int]:
     return offsets
 
 
-def _race_job(args) -> StrategyResult:
-    """Process-pool job: run one portfolio member (module-level so the
-    pool can pickle it)."""
-    member, problem, objective, thresholds, budget = args
-    return member.run(problem, objective, thresholds, budget=budget)
-
-
 class _CompositeStrategy(SolverStrategy):
     """Shared machinery of portfolio and fallback."""
 
@@ -202,30 +195,12 @@ class _CompositeStrategy(SolverStrategy):
 class PortfolioStrategy(_CompositeStrategy):
     """Race members on the same instance; keep the best feasible one.
 
-    Parameters
-    ----------
-    members:
-        The strategies to race.
-    workers:
-        ``None``/``<=1`` races sequentially inside the calling worker
-        (each member gets an equal share of the remaining budget);
-        ``n >= 2`` races members concurrently over a process pool, each
-        with the full wall-clock budget.  Keep the sequential default
-        when the portfolio itself runs inside a
-        :func:`repro.service.solve_batch` worker pool.
+    Members run one after the other, each on an equal share of the
+    remaining budget (see :func:`_member_budget`).
     """
 
     name = "portfolio"
     summary = "race members, keep the best-objective feasible solution"
-
-    def __init__(
-        self,
-        members: Sequence[SolverStrategy],
-        *,
-        workers: Optional[int] = None,
-    ) -> None:
-        super().__init__(members)
-        self.workers = workers
 
     def run(
         self,
@@ -242,44 +217,18 @@ class PortfolioStrategy(_CompositeStrategy):
         n = len(self.members)
         offsets = _seed_offsets(self.members)
         results: List[StrategyResult] = []
-        if self.workers is not None and self.workers > 1 and n > 1:
-            e_rem = meter.remaining_evaluations()
-            jobs = [
-                (
-                    member,
+        for i, member in enumerate(self.members):
+            if meter.exhausted:
+                break  # a member overran its slice; stop launching
+            results.append(
+                member.run(
                     problem,
                     objective,
                     thresholds,
-                    SolveBudget(
-                        time_limit=meter.remaining_time(),
-                        max_evaluations=(
-                            None if e_rem is None else max(e_rem // n, 1)
-                        ),
-                        seed=(
-                            None
-                            if meter.seed is None
-                            else meter.seed + offsets[i]
-                        ),
-                    ),
+                    budget=_member_budget(meter, n - i, offsets[i]),
                 )
-                for i, member in enumerate(self.members)
-            ]
-            with ProcessPoolExecutor(max_workers=min(self.workers, n)) as pool:
-                results = list(pool.map(_race_job, jobs))
-            meter.charge(sum(r.telemetry.evaluations for r in results))
-        else:
-            for i, member in enumerate(self.members):
-                if meter.exhausted:
-                    break  # a member overran its slice; stop launching
-                results.append(
-                    member.run(
-                        problem,
-                        objective,
-                        thresholds,
-                        budget=_member_budget(meter, n - i, offsets[i]),
-                    )
-                )
-                meter.charge(results[-1].telemetry.evaluations)
+            )
+            meter.charge(results[-1].telemetry.evaluations)
         winner: Optional[StrategyResult] = None
         for res in results:
             if res.solution is None or not _is_feasible(
@@ -336,13 +285,9 @@ class FallbackStrategy(_CompositeStrategy):
         return self._finish(t0, meter, evals0, results, winner)
 
 
-def portfolio(
-    *members: Union[str, SolverStrategy], workers: Optional[int] = None
-) -> PortfolioStrategy:
+def portfolio(*members: Union[str, SolverStrategy]) -> PortfolioStrategy:
     """Build a :class:`PortfolioStrategy` from names or instances."""
-    return PortfolioStrategy(
-        [parse_strategy(m) for m in members], workers=workers
-    )
+    return PortfolioStrategy([parse_strategy(m) for m in members])
 
 
 def fallback(*members: Union[str, SolverStrategy]) -> FallbackStrategy:

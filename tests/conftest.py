@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from repro import (
     ProblemInstance,
 )
 from repro.paper import figure1_applications, figure1_platform
+from repro.service import close_pool
 
 BOTH_MODELS = [CommunicationModel.OVERLAP, CommunicationModel.NO_OVERLAP]
 BOTH_RULES = [MappingRule.ONE_TO_ONE, MappingRule.INTERVAL]
@@ -59,26 +60,20 @@ def hom_platform():
     return Platform.fully_homogeneous(5, speeds=[1.0, 2.0], bandwidth=2.0)
 
 
-def _shm_entries():
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():  # platform without POSIX shm visibility
-        return None
-    return {p.name for p in shm_dir.glob("repro-shm-*")}
-
-
 @pytest.fixture(autouse=True)
-def no_leaked_shm_segments():
-    """Fail any test that leaks a ``repro-shm-*`` shared-memory segment.
+def no_leaked_pool_workers():
+    """Close the process's worker pool after every test and fail the
+    test if any pool worker is still alive once it is closed.
 
-    The zero-copy transport promises its per-batch segments are
-    unlinked on normal completion, worker crashes and interrupts; this
-    fixture makes the whole suite enforce that promise (pre-existing
-    entries from outside the test are tolerated, new ones are not).
+    The pool is long-lived by design; closing it here gives every test a
+    fresh one and makes the whole suite enforce that ``close()`` leaves
+    no worker process behind.
     """
-    before = _shm_entries()
     yield
-    if before is None:
-        return
-    after = _shm_entries()
-    leaked = after - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    close_pool()
+    alive = [
+        p.pid
+        for p in multiprocessing.active_children()
+        if p.name == "repro-pool-worker"
+    ]
+    assert not alive, f"pool workers alive after close(): {alive}"

@@ -15,7 +15,6 @@ from repro.obs.spans import (
     new_trace_id,
     record_span,
     recorder,
-    set_ambient_trace,
     span,
     trace_context,
     track,
@@ -24,10 +23,11 @@ from repro.obs.spans import (
 
 @pytest.fixture(autouse=True)
 def _clean_context():
-    """Every test starts with no ambient trace and leaves none behind."""
-    set_ambient_trace(None)
+    """Every test starts with no ambient trace and leaves none behind
+    (every setter is scoped, so a leak is a bug)."""
+    assert current_trace_id() is None
     yield
-    set_ambient_trace(None)
+    assert current_trace_id() is None
 
 
 class TestIds:
@@ -160,12 +160,6 @@ class TestContext:
                 # nesting None disables the trace inside the block
                 assert current_trace_id() is None
             assert current_trace_id() == "t-x"
-        assert current_trace_id() is None
-
-    def test_set_ambient_trace_is_unscoped(self):
-        set_ambient_trace("t-amb", "s-amb")
-        assert current_trace_id() == "t-amb"
-        set_ambient_trace(None)
         assert current_trace_id() is None
 
 

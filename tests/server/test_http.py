@@ -87,7 +87,6 @@ class TestHealthAndMetrics:
             "shed",
         }
         assert payload["queue"]["max_depth"] is None  # unbounded default
-        assert payload["transport"] in ("auto", "shm", "pickle")
         assert "submitted" in payload["jobs"]
         assert "shed" in payload["jobs"]
         assert "evaluations" in payload["solver"]

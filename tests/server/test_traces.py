@@ -164,11 +164,11 @@ class TestRouterTraces:
 
 
 class TestProcessPoolTraces:
-    """The fork path: a ProcessPoolExecutor worker inherits the daemon's
-    ring buffer, so the pre-dispatch spans of the first traced job ride
-    back on the worker's result item — the recorder must not duplicate
-    them on ingest (regression: the merged tree rendered every subtree
-    twice under ``executor="process"``)."""
+    """The fork path: a pool worker inherits the daemon's ring buffer, so
+    the pre-dispatch spans of the first traced job ride back on the
+    worker's result item — the recorder must not duplicate them on
+    ingest (regression: the merged tree rendered every subtree twice
+    under ``executor="process"``)."""
 
     def test_forked_worker_does_not_duplicate_spans(self):
         with ServerThread(executor="process", concurrency=1) as srv:
@@ -182,7 +182,9 @@ class TestProcessPoolTraces:
             assert names.count("daemon.submit") == 1
             assert names.count("daemon.queue_wait") == 1
             by_name = {s["name"]: s for s in payload["spans"]}
-            # the solver span is labeled with the worker process, not
-            # the daemon's pid inherited across the fork
-            if by_name["daemon.pool_dispatch"]["attrs"]["executor"] == "ProcessPoolExecutor":
-                assert by_name["solve.run"]["proc"] != by_name["daemon.submit"]["proc"]
+            # the cell ran on the worker pool, and the solver span is
+            # labeled with the worker process, not the daemon's pid
+            # inherited across the fork
+            assert by_name["daemon.pool_dispatch"]["attrs"]["executor"] == "WorkerPool"
+            assert by_name["solve.run"]["proc"].startswith("pool-")
+            assert by_name["solve.run"]["proc"] != by_name["daemon.submit"]["proc"]

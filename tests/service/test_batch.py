@@ -149,7 +149,7 @@ class TestSolveBatch:
 
 class TestSharedInstanceFastPath:
     """``solve_batch([problem] * n)`` ships the instance once per worker
-    through the pool initializer instead of once per job."""
+    per batch inside the shared config instead of once per job."""
 
     def test_repeat_solve_matches_distinct_jobs(self):
         problem = small_random_problem(
@@ -161,50 +161,46 @@ class TestSharedInstanceFastPath:
         for item in repeated.items:
             assert item.solution.objective == pytest.approx(reference)
 
-    def test_initializer_prebuilds_the_context(self):
-        from repro.service.batch import _WORKER_CONFIG, _init_worker
-
-        problem = small_random_problem(8)
-        _init_worker(
-            {
-                "objective": "period",
-                "method": "registry",
-                "thresholds": None,
-                "strategy": None,
-                "budget": None,
-                "problem": problem,
-            }
-        )
-        try:
-            assert "_eval_context" in problem.__dict__
-            assert _WORKER_CONFIG["problem"] is problem
-        finally:
-            _WORKER_CONFIG.clear()
-
-    def test_shared_jobs_resolve_the_initializer_problem(self):
-        from repro.service.batch import (
-            _WORKER_CONFIG,
-            _init_worker,
-            _solve_indexed,
-        )
+    def test_shared_jobs_resolve_the_config_problem_and_share_its_context(self):
+        from repro.service.batch import _solve_indexed
 
         problem = small_random_problem(9)
-        _init_worker(
-            {
-                "objective": "period",
-                "method": "registry",
-                "thresholds": None,
-                "strategy": None,
-                "budget": None,
-                "problem": problem,
-            }
+        config = {
+            "objective": "period",
+            "method": "registry",
+            "thresholds": None,
+            "strategy": None,
+            "budget": None,
+            "problem": problem,
+            "trace": None,
+        }
+        item = _solve_indexed(config, 3, None)
+        assert item.index == 3
+        assert item.status == "ok"
+        context = problem.__dict__["_eval_context"]
+        assert _solve_indexed(config, 4, None).status == "ok"
+        assert problem.__dict__["_eval_context"] is context
+
+    def test_repeat_solve_ships_the_instance_once_per_worker(self):
+        problem = small_random_problem(
+            7, platform_class=PlatformClass.FULLY_HETEROGENEOUS
         )
-        try:
-            item = _solve_indexed((3, None))
-            assert item.index == 3
-            assert item.status == "ok"
-        finally:
-            _WORKER_CONFIG.clear()
+        distinct = [
+            small_random_problem(
+                7, platform_class=PlatformClass.FULLY_HETEROGENEOUS
+            )
+            for _ in range(8)
+        ]
+        shared = solve_batch([problem] * 8, workers=2, chunksize=1)
+        copied = solve_batch(distinct, workers=2, chunksize=1)
+        assert shared.stats["bytes_pickled_per_job"] < 0.25 * (
+            copied.stats["bytes_pickled_per_job"]
+        )
+        # ... because the instance rides in the per-worker config.
+        assert (
+            shared.stats["bytes_worker_config"]
+            > copied.stats["bytes_worker_config"]
+        )
 
 
 class TestBatchItem:

@@ -8,7 +8,8 @@ one-``Mapping``-at-a-time oracle in
 start — whether the answer comes inline with a born-done submission,
 from a long-polled cold solve or from a plain ``GET /result`` — and the
 daemon's health and metrics payloads carry no neighborhood-engine
-fields.
+fields.  The anytime front, inline and on the worker pool, must equal
+the offline exact sweep.
 """
 
 import json
@@ -85,6 +86,20 @@ class TestSolveBatch:
             assert_same(item.solution, want)
 
 
+class TestFront:
+    """``compute_front_anytime`` inline and on the two-worker pool
+    returns the offline exact epsilon-constraint front, byte for byte."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_front_matches_exact_sweep(self, problems, workers):
+        from repro.analysis import compute_front_anytime, period_energy_front_exact
+
+        problem = problems[0]
+        result = compute_front_anytime(problem, max_points=12, workers=workers)
+        assert result.front == period_energy_front_exact(problem, max_points=12)
+        assert result.n_cells == len(result.events)
+
+
 class TestDaemon:
     def test_daemon_solve_matches_oracle(self, problems):
         from repro.client import SolveClient
@@ -92,6 +107,17 @@ class TestDaemon:
 
         problem = problems[0]
         with ServerThread(port=0, concurrency=1, executor="thread") as server:
+            client = SolveClient(server.url, timeout=60.0)
+            result = client.solve(problem, strategy=STRATEGY, timeout=120)
+        assert result.status == "ok"
+        assert_same(result.solution, oracle_climb(problem))
+
+    def test_pooled_daemon_solve_matches_oracle(self, problems):
+        from repro.client import SolveClient
+        from repro.server import ServerThread
+
+        problem = problems[3]
+        with ServerThread(port=0, concurrency=2, executor="process") as server:
             client = SolveClient(server.url, timeout=60.0)
             result = client.solve(problem, strategy=STRATEGY, timeout=120)
         assert result.status == "ok"

@@ -152,19 +152,6 @@ class TestPortfolio:
         for member in result.telemetry.members:
             assert member.evaluations <= 300 + 1
 
-    def test_parallel_racing_matches_sequential_members(self):
-        problem = hard_problem(8)
-        sequential = portfolio("greedy", "local_search").run(
-            problem, "period", budget=SolveBudget(max_evaluations=4000, seed=3)
-        )
-        parallel = portfolio("greedy", "local_search", workers=2).run(
-            problem, "period", budget=SolveBudget(max_evaluations=4000, seed=3)
-        )
-        assert parallel.ok
-        assert parallel.solution.objective == pytest.approx(
-            sequential.solution.objective
-        )
-
     def test_empty_portfolio_rejected(self):
         with pytest.raises(StrategyError, match="at least one member"):
             PortfolioStrategy([])
