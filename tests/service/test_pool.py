@@ -5,13 +5,17 @@ is contained to error items (or failed futures) for the jobs it had not
 finished and is replaced before the next call, a worker that exits
 between tasks loses nothing, the pool is shared by every pooled call of
 the process, and no worker outlives its parent (see also the autouse
-process-leak fixture in ``tests/conftest.py``).
+process-leak fixture in ``tests/conftest.py``).  Pickle is the one
+transport: instances survive the trip to a worker intact for every
+platform class, rule and communication model, and pooled solutions are
+byte-identical to sequential ones.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -21,11 +25,19 @@ from pathlib import Path
 
 import pytest
 
+from repro import CommunicationModel, MappingRule, PlatformClass
 from repro.analysis.front_engine import compute_front_anytime
 from repro.generators import small_random_problem
-from repro.service import solve_batch
+from repro.io import problem_to_dict
+from repro.service import solve_batch, solve_one
 from repro.service.batch import _solve_pooled
-from repro.service.pool import WorkerDiedError, close_pool, get_pool
+from repro.service.pool import (
+    WorkerDiedError,
+    WorkerPool,
+    close_pool,
+    get_pool,
+    in_worker,
+)
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -50,6 +62,43 @@ def _die():
 
 def _raise_value_error(message):
     raise ValueError(message)
+
+
+def _unpicklable_result():
+    return lambda: None
+
+
+class _NeedsTwoArgs(Exception):
+    """Pickles, but does not unpickle: ``__init__`` wants two args."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first}/{second}")
+
+
+def _raise_needs_two_args():
+    raise _NeedsTwoArgs("left", "right")
+
+
+def _sleep_then_pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _start_nested_pool():
+    get_pool(1)
+
+
+def _problem_dict_in_worker(problem):
+    return problem_to_dict(problem)
+
+
+def _values_in_worker(problem, mapping):
+    values = problem.evaluation_context().evaluate(mapping)
+    return values.period, values.latency, values.energy
+
+
+def _shared_plus(shared, value):
+    return len(shared) + value
 
 
 def _pid_of_nested_batch():
@@ -202,6 +251,144 @@ class TestOnePool:
         ]
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(os.getpid)
+
+
+ALL_CLASSES = list(PlatformClass)
+ALL_RULES = [MappingRule.ONE_TO_ONE, MappingRule.INTERVAL]
+
+
+class TestPickleTransport:
+    @pytest.mark.parametrize("platform_class", ALL_CLASSES)
+    @pytest.mark.parametrize("rule", ALL_RULES)
+    def test_round_trip_all_classes_and_rules(self, platform_class, rule):
+        problem = small_random_problem(
+            7, platform_class=platform_class, rule=rule, n_apps=2
+        )
+        shipped = get_pool(2).submit(_problem_dict_in_worker, problem)
+        # Dict form is the canonical content fingerprint (it feeds the
+        # cache key): identical dicts mean identical instances.
+        assert shipped.result(timeout=60) == problem_to_dict(problem)
+
+    @pytest.mark.parametrize(
+        "model", [CommunicationModel.OVERLAP, CommunicationModel.NO_OVERLAP]
+    )
+    def test_round_trip_preserves_evaluation(self, model, fig1_problem):
+        problem = type(fig1_problem)(
+            apps=fig1_problem.apps, platform=fig1_problem.platform, model=model
+        )
+        solution = solve_one(problem, "period")
+        # The solved mapping must evaluate bit-identically on the
+        # worker's copy of the instance.
+        future = get_pool(2).submit(_values_in_worker, problem, solution.mapping)
+        assert future.result(timeout=60) == (
+            solution.values.period,
+            solution.values.latency,
+            solution.values.energy,
+        )
+
+    @pytest.mark.parametrize("platform_class", ALL_CLASSES)
+    def test_byte_identical_solutions(self, platform_class):
+        problems = [
+            small_random_problem(
+                seed,
+                platform_class=platform_class,
+                rule=MappingRule.INTERVAL,
+                n_apps=2,
+            )
+            for seed in range(6)
+        ]
+        sequential = solve_batch(problems, objective="period")
+        pooled = solve_batch(problems, objective="period", workers=2)
+        for ref, item in zip(sequential.items, pooled.items):
+            assert item.index == ref.index
+            assert item.status == ref.status
+            if ref.solution is None:
+                assert item.solution is None
+                continue
+            assert pickle.dumps(item.solution.mapping) == pickle.dumps(
+                ref.solution.mapping
+            )
+            assert item.solution.objective == ref.solution.objective
+            assert item.solution.values == ref.solution.values
+
+    def test_unpicklable_result_fails_only_its_future(self):
+        pool = get_pool(2)
+        pids = pool.worker_pids()
+        with pytest.raises(Exception, match="pickle"):
+            pool.submit(_unpicklable_result).result(timeout=30)
+        assert pool.submit(os.getpid).result(timeout=30) in pids
+        assert pool.worker_pids() == pids
+        assert pool.n_crashed == 0
+
+    def test_exception_that_does_not_unpickle_arrives_as_runtime_error(self):
+        future = get_pool(2).submit(_raise_needs_two_args)
+        with pytest.raises(RuntimeError, match="_NeedsTwoArgs: left/right"):
+            future.result(timeout=30)
+
+
+class TestPoolLifecycle:
+    def test_size_must_be_positive(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            WorkerPool(0)
+
+    def test_close_is_idempotent(self):
+        pool = get_pool(2)
+        pool.close()
+        pool.close()
+        close_pool()
+        close_pool()
+        assert pool.closed
+
+    def test_close_fails_queued_jobs_and_finishes_running_ones(self):
+        pool = get_pool(1)
+        running = pool.submit(_sleep_then_pid, 0.3)
+        queued = [pool.submit(os.getpid) for _ in range(3)]
+        close_pool()
+        assert running.result(timeout=30) > 0
+        for future in queued:
+            with pytest.raises(RuntimeError, match="closed before running"):
+                future.result(timeout=30)
+
+    def test_dead_worker_is_reaped_and_replaced(self):
+        pool = get_pool(2)
+        before = set(pool.worker_pids())
+        with pytest.raises(WorkerDiedError):
+            pool.submit(_die).result(timeout=30)
+        after = set(pool.worker_pids())
+        dead = before - after
+        assert len(dead) == 1 and len(after) == 2
+        assert _process_state(dead.pop()) is None  # no zombie left behind
+        children = {
+            p.pid
+            for p in multiprocessing.active_children()
+            if p.name == "repro-pool-worker"
+        }
+        assert children == after
+
+    def test_map_of_no_jobs_returns_nothing(self):
+        futures, stats = get_pool(2).map(_shared_plus, [], 1, "abc")
+        assert futures == []
+        assert (stats.n_chunks, stats.bytes_jobs, stats.bytes_config) == (0, 0, 0)
+
+    def test_shared_payload_travels_once_per_worker(self):
+        shared = "x" * 10_000
+        jobs = [(value,) for value in range(8)]
+        futures, stats = get_pool(2).map(_shared_plus, jobs, 1, shared)
+        assert [f.result() for f in futures] == [
+            _shared_plus(shared, *job) for job in jobs
+        ]
+        assert stats.n_chunks == len(jobs)
+        blob = len(pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL))
+        assert blob <= stats.bytes_config <= 2 * blob
+
+    def test_in_worker_tells_workers_from_the_parent(self):
+        assert in_worker() is False
+        assert get_pool(2).submit(in_worker).result(timeout=30) is True
+
+    def test_a_worker_cannot_start_a_pool(self):
+        future = get_pool(2).submit(_start_nested_pool)
+        with pytest.raises(RuntimeError, match="cannot start a pool"):
+            future.result(timeout=30)
 
 
 def _process_state(pid):
