@@ -24,6 +24,14 @@ When energy is involved (as criterion or threshold) all processor modes are
 enumerated; otherwise every processor is pinned to its fastest mode, as
 pure-performance optimality permits.
 
+Every node reads plain-Python lookup tables built once per problem
+(:meth:`repro.kernel.EvaluationContext.search_tables`): bandwidths,
+``(speed, energy)`` modes, prefix-sum works and data sizes are list
+indexing, cycle-times are combined inline and thresholds are compared
+against precomputed ceilings.  The partial mapping is a trail of plain
+tuples; only the returned optimum becomes
+:class:`~repro.core.mapping.Assignment` objects.
+
 Exponential in the worst case -- this is the exact arm of the NP-hard
 benches -- but the pruning makes it practical far beyond the brute-force
 enumerator.
@@ -32,44 +40,13 @@ enumerator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from ...core.exceptions import InfeasibleProblemError, SolverError
 from ...core.mapping import Assignment, Mapping
-from ...core.objectives import THRESHOLD_RTOL, Thresholds, threshold_ceiling
+from ...core.objectives import Thresholds, threshold_ceiling
 from ...core.problem import ProblemInstance, Solution
-from ...core.types import (
-    CommunicationModel,
-    Criterion,
-    IN_ENDPOINT,
-    MappingRule,
-    OUT_ENDPOINT,
-)
-from ...kernel.context import app_arrays
-
-#: Minimum number of interval-end children per ``(processor, mode)``
-#: branch before the feasibility screen switches from the scalar loop to
-#: one vectorized pass (below this the NumPy call overhead dominates).
-_VECTOR_HI_MIN = 8
-
-
-@dataclass
-class _Pending:
-    """The last placed interval of the in-progress application, waiting for
-    its outgoing bandwidth to be known."""
-
-    proc: int
-    t_in: float
-    t_comp: float
-    out_size: float
-
-
-def _leq(value: float, bound: float) -> bool:
-    """Threshold comparison with the library-wide relative tolerance."""
-    return value <= bound * (1 + THRESHOLD_RTOL) + THRESHOLD_RTOL
+from ...core.types import CommunicationModel, Criterion, MappingRule
 
 
 class _BudgetStop(Exception):
@@ -131,52 +108,51 @@ def exact_minimize(
         incumbent.
     """
     apps = problem.apps
-    platform = problem.platform
-    model = problem.model
-    em = problem.energy_model
+    p = problem.platform.n_processors
     A = len(apps)
-    p = platform.n_processors
+    overlap = problem.model is CommunicationModel.OVERLAP
+    by_period = criterion is Criterion.PERIOD
+    by_latency = criterion is Criterion.LATENCY
+    by_energy = criterion is Criterion.ENERGY
     if fix_max_speed is None:
-        fix_max_speed = (
-            criterion is not Criterion.ENERGY and thresholds.energy is None
-        )
+        fix_max_speed = not by_energy and thresholds.energy is None
 
-    period_bounds = [
-        thresholds.period_bound_for_app(app, a) for a, app in enumerate(apps)
+    tables = problem.evaluation_context().search_tables()
+    prefixes, deltas = tables.prefix, tables.delta
+    bw_in, bw_out, bw_link = tables.bw_in, tables.bw_out, tables.bw_link
+    if problem.rule is MappingRule.ONE_TO_ONE:
+        interval_ends = [[(lo,) for lo in range(app.n_stages)] for app in apps]
+    else:
+        interval_ends = tables.interval_ends
+    last_stages = [app.n_stages - 1 for app in apps]
+    weights = [app.weight for app in apps]
+    # A value meets a threshold exactly when it is <= the threshold's
+    # ceiling (`meets_threshold`'s tolerance, computed once).
+    period_ceils = [
+        threshold_ceiling(thresholds.period_bound_for_app(app, a))
+        for a, app in enumerate(apps)
     ]
-    latency_bounds = [
-        thresholds.latency_bound_for_app(app, a) for a, app in enumerate(apps)
+    latency_ceils = [
+        threshold_ceiling(thresholds.latency_bound_for_app(app, a))
+        for a, app in enumerate(apps)
     ]
-    # Precomputed `_leq` right-hand sides and prefix-sum work arrays for
-    # the batched child screen (bit-identical to the scalar checks).
-    period_ceils = [threshold_ceiling(b) for b in period_bounds]
-    latency_ceils = [threshold_ceiling(b) for b in latency_bounds]
-    work_prefixes = [app_arrays(app)[0] for app in apps]
-    energy_bound = thresholds.energy if thresholds.energy is not None else math.inf
-
-    proc_speeds: List[Tuple[float, ...]] = [
-        (platform.processor(u).max_speed,)
-        if fix_max_speed
-        else platform.processor(u).speeds
-        for u in range(p)
-    ]
+    energy_ceil = threshold_ceiling(
+        math.inf if thresholds.energy is None else thresholds.energy
+    )
 
     # Symmetry breaking: when all links are homogeneous, processors with the
     # same speed set and static energy are fully interchangeable -- at each
     # node only the lowest-indexed free member of each class is branched on.
-    if platform.has_homogeneous_links:
-        class_table: dict = {}
-        proc_class: List[int] = []
-        for u in range(p):
-            key = (
-                platform.processor(u).speeds,
-                platform.processor(u).static_energy,
-            )
-            proc_class.append(class_table.setdefault(key, len(class_table)))
-        n_classes = len(class_table)
-    else:
-        proc_class = list(range(p))
-        n_classes = p
+    symmetric = problem.platform.has_homogeneous_links
+    class_of: dict = {}
+    procs = []  # (index, free-mask bit, class bit, (speed, energy) modes)
+    for u, proc in enumerate(problem.platform.processors):
+        key = (proc.speeds, proc.static_energy) if symmetric else u
+        class_bit = 1 << class_of.setdefault(key, len(class_of))
+        modes = tables.modes[u]
+        if fix_max_speed:
+            modes = modes[-1:]  # speeds are stored in increasing order
+        procs.append((u, 1 << u, class_bit, modes))
 
     # A warm-start bound is seeded through the same `threshold_ceiling`
     # slack as the threshold screens: any leaf tied with the known
@@ -185,75 +161,22 @@ def exact_minimize(
     best_objective = (
         math.inf if upper_bound is None else threshold_ceiling(upper_bound)
     )
-    best_assignments: Optional[Tuple[Assignment, ...]] = None
+    best_trail: Optional[Tuple[tuple, ...]] = None
     nodes = 0
-
-    trail: List[Assignment] = []
-
-    def admissible_children(
-        a: int,
-        stage: int,
-        hi_options: Tuple[int, ...],
-        speed: float,
-        t_in: float,
-        base_latency: float,
-    ):
-        """The ``(hi, t_comp, partial_cycle, new_latency)`` children
-        passing the period/latency screens, in ascending ``hi`` order.
-
-        Both screens are monotone in ``hi`` (``t_comp`` only grows), so
-        the admitted set is the prefix up to the first violation.  Large
-        fan-outs are screened in one vectorized pass over the prefix-sum
-        work array instead of one Python arithmetic chain per child;
-        the two paths produce bit-identical floats, so pruning -- and
-        hence the explored tree and the returned optimum -- is unchanged.
-        """
-        if len(hi_options) >= _VECTOR_HI_MIN:
-            prefix = work_prefixes[a]
-            his = np.asarray(hi_options, dtype=np.intp)
-            t_comps = (prefix[his + 1] - prefix[stage]) / speed
-            if model is CommunicationModel.OVERLAP:
-                partials = np.maximum(t_in, t_comps)
-            else:
-                partials = (t_in + t_comps) + 0.0
-            latencies = base_latency + t_comps
-            ok = (partials <= period_ceils[a]) & (
-                latencies <= latency_ceils[a]
-            )
-            limit = len(hi_options) if bool(ok.all()) else int(np.argmax(~ok))
-            return list(
-                zip(
-                    hi_options[:limit],
-                    t_comps[:limit].tolist(),
-                    partials[:limit].tolist(),
-                    latencies[:limit].tolist(),
-                )
-            )
-        children = []
-        app = apps[a]
-        for hi in hi_options:
-            t_comp = app.work_sum(stage, hi) / speed
-            partial_cycle = model.combine(t_in, t_comp, 0.0)
-            if not _leq(partial_cycle, period_bounds[a]):
-                break  # t_comp only grows with hi
-            new_latency = base_latency + t_comp
-            if not _leq(new_latency, latency_bounds[a]):
-                break
-            children.append((hi, t_comp, partial_cycle, new_latency))
-        return children
+    trail: List[tuple] = []  # (app, lo, hi, proc, speed) per placed interval
 
     def place_app(
         a: int,
         stage: int,
         free: int,  # bitmask of free processors
-        pending: Optional[_Pending],
+        pending: Optional[tuple],  # (proc, t_in, t_comp, out_size)
         app_latency: float,
         app_period: float,  # unweighted, finalized cycles of app a so far
         energy: float,
         done_period_w: float,  # weighted period over completed apps
         done_latency_w: float,
     ) -> None:
-        nonlocal best_objective, best_assignments, nodes
+        nonlocal best_objective, best_trail, nodes
         nodes += 1
         if nodes > node_limit:
             raise SolverError(
@@ -262,100 +185,105 @@ def exact_minimize(
         if budget is not None and not budget.tick():
             raise _BudgetStop
         if a == A:
-            objective = {
-                Criterion.PERIOD: done_period_w,
-                Criterion.LATENCY: done_latency_w,
-                Criterion.ENERGY: energy,
-            }[criterion]
+            objective = (
+                done_period_w
+                if by_period
+                else done_latency_w if by_latency else energy
+            )
             if objective < best_objective:
                 best_objective = objective
-                best_assignments = tuple(trail)
+                best_trail = tuple(trail)
             return
-        app = apps[a]
-        n = app.n_stages
-        w_a = app.weight
-        in_size = app.input_size(stage)
-        hi_options = (
-            (stage,)
-            if problem.rule is MappingRule.ONE_TO_ONE
-            else tuple(range(stage, n))
-        )
-        tried_classes = [False] * n_classes
-        for u in range(p):
-            if not (free >> u) & 1:
+        prefix = prefixes[a]
+        delta = deltas[a]
+        period_ceil = period_ceils[a]
+        latency_ceil = latency_ceils[a]
+        last = last_stages[a]
+        w_a = weights[a]
+        work_lo = prefix[stage]
+        in_size = delta[stage]
+        ends = interval_ends[a][stage]
+        if pending is None:
+            bw_row = bw_in[a]
+        else:
+            pend_u, pend_t_in, pend_t_comp, pend_out = pending
+            bw_row = bw_link[a][pend_u]
+        tried = 0  # bitmask of branched processor classes
+        for u, u_bit, class_bit, modes in procs:
+            if not free & u_bit or tried & class_bit:
                 continue
-            if tried_classes[proc_class[u]]:
-                continue  # an interchangeable processor was already branched
-            tried_classes[proc_class[u]] = True
+            tried |= class_bit
             # Incoming communication of the new interval.
+            bw = bw_row[u]
+            t_in = in_size / bw
             if pending is None:
-                bw_in = platform.bandwidth(IN_ENDPOINT, u, a)
+                new_app_period = app_period
+                base_latency = app_latency + t_in  # delta_0 / b, paid once
             else:
-                bw_in = platform.bandwidth(pending.proc, u, a)
-            t_in = in_size / bw_in
-            # Finalize the pending interval: its outgoing link is now known.
-            fin_cycle = 0.0
-            fin_out = 0.0
-            if pending is not None:
-                fin_out = pending.out_size / bw_in
-                fin_cycle = model.combine(pending.t_in, pending.t_comp, fin_out)
-                if not _leq(fin_cycle, period_bounds[a]):
+                # Finalize the pending interval: its outgoing link is known.
+                fin_out = pend_out / bw
+                if overlap:
+                    fin_cycle = max(pend_t_in, pend_t_comp, fin_out)
+                else:
+                    fin_cycle = pend_t_in + pend_t_comp + fin_out
+                if not fin_cycle <= period_ceil:
                     continue
-            new_app_period = max(app_period, fin_cycle)
-            base_latency = app_latency + fin_out
-            if pending is None:
-                base_latency += t_in  # delta_0 / b, paid exactly once
-            if not _leq(base_latency, latency_bounds[a]):
+                new_app_period = max(app_period, fin_cycle)
+                base_latency = app_latency + fin_out
+            if not base_latency <= latency_ceil:
                 continue
-            for speed in proc_speeds[u]:
-                e_add = em.processor_energy(platform.processor(u), speed)
+            rest = free & ~u_bit
+            for speed, e_add in modes:
                 new_energy = energy + e_add
-                if not _leq(new_energy, energy_bound):
+                if not new_energy <= energy_ceil:
                     continue
-                if criterion is Criterion.ENERGY and new_energy >= best_objective:
+                if by_energy and new_energy >= best_objective:
                     continue
-                for hi, t_comp, partial_cycle, new_latency in (
-                    admissible_children(
-                        a, stage, hi_options, speed, t_in, base_latency
-                    )
-                ):
-                    assignment = Assignment(
-                        app=a, interval=(stage, hi), proc=u, speed=speed
-                    )
-                    trail.append(assignment)
-                    if hi == n - 1:
+                # The period/latency screens are monotone in hi (t_comp
+                # only grows), so the first violation ends the children.
+                for hi in ends:
+                    t_comp = (prefix[hi + 1] - work_lo) / speed
+                    if overlap:
+                        partial_cycle = t_comp if t_comp > t_in else t_in
+                    else:
+                        partial_cycle = t_in + t_comp
+                    if not partial_cycle <= period_ceil:
+                        break
+                    new_latency = base_latency + t_comp
+                    if not new_latency <= latency_ceil:
+                        break
+                    trail.append((a, stage, hi, u, speed))
+                    if hi == last:
                         # Close the application: output to Pout_a.
-                        bw_out = platform.bandwidth(u, OUT_ENDPOINT, a)
-                        t_out = app.output_size(hi) / bw_out
-                        last_cycle = model.combine(t_in, t_comp, t_out)
+                        t_out = delta[hi + 1] / bw_out[a][u]
+                        if overlap:
+                            last_cycle = max(t_in, t_comp, t_out)
+                        else:
+                            last_cycle = t_in + t_comp + t_out
                         final_latency = new_latency + t_out
-                        final_period = max(
-                            new_app_period, partial_cycle, last_cycle
-                        )
                         if (
-                            _leq(last_cycle, period_bounds[a])
-                            and _leq(final_latency, latency_bounds[a])
+                            last_cycle <= period_ceil
+                            and final_latency <= latency_ceil
                         ):
                             nxt_period_w = max(
-                                done_period_w, w_a * final_period
+                                done_period_w,
+                                w_a
+                                * max(new_app_period, partial_cycle, last_cycle),
                             )
                             nxt_latency_w = max(
                                 done_latency_w, w_a * final_latency
                             )
                             if not (
-                                (
-                                    criterion is Criterion.PERIOD
-                                    and nxt_period_w >= best_objective
-                                )
+                                (by_period and nxt_period_w >= best_objective)
                                 or (
-                                    criterion is Criterion.LATENCY
+                                    by_latency
                                     and nxt_latency_w >= best_objective
                                 )
                             ):
                                 place_app(
                                     a + 1,
                                     0,
-                                    free & ~(1 << u),
+                                    rest,
                                     None,
                                     0.0,
                                     0.0,
@@ -364,29 +292,26 @@ def exact_minimize(
                                     nxt_latency_w,
                                 )
                     else:
-                        prune = False
-                        if criterion is Criterion.PERIOD:
-                            lb = max(
-                                done_period_w,
-                                w_a * max(new_app_period, partial_cycle),
+                        cycle = max(new_app_period, partial_cycle)
+                        if not (
+                            (
+                                by_period
+                                and max(done_period_w, w_a * cycle)
+                                >= best_objective
                             )
-                            prune = lb >= best_objective
-                        elif criterion is Criterion.LATENCY:
-                            lb = max(done_latency_w, w_a * new_latency)
-                            prune = lb >= best_objective
-                        if not prune:
+                            or (
+                                by_latency
+                                and max(done_latency_w, w_a * new_latency)
+                                >= best_objective
+                            )
+                        ):
                             place_app(
                                 a,
                                 hi + 1,
-                                free & ~(1 << u),
-                                _Pending(
-                                    proc=u,
-                                    t_in=t_in,
-                                    t_comp=t_comp,
-                                    out_size=app.output_size(hi),
-                                ),
+                                rest,
+                                (u, t_in, t_comp, delta[hi + 1]),
                                 new_latency,
-                                max(new_app_period, partial_cycle),
+                                cycle,
                                 new_energy,
                                 done_period_w,
                                 done_latency_w,
@@ -398,17 +323,20 @@ def exact_minimize(
         place_app(0, 0, (1 << p) - 1, None, 0.0, 0.0, 0.0, 0.0, 0.0)
     except _BudgetStop:
         exhausted = True
-        if best_assignments is None:
+        if best_trail is None:
             raise SolverError(
                 f"exact_minimize: budget exhausted after {nodes} nodes "
                 "with no feasible mapping found"
             ) from None
-    if best_assignments is None:
+    if best_trail is None:
         raise InfeasibleProblemError(
             f"exact_minimize: no mapping satisfies the thresholds "
             f"({nodes} nodes explored)"
         )
-    mapping = Mapping.from_assignments(best_assignments)
+    mapping = Mapping.from_assignments(
+        Assignment(app=a, interval=(lo, hi), proc=u, speed=speed)
+        for a, lo, hi, u, speed in best_trail
+    )
     values = problem.evaluate(mapping)
     return Solution(
         mapping=mapping,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from ..obs.spans import track as _track
 __all__ = [
     "BatchCriteria",
     "EvaluationContext",
+    "SearchTables",
     "app_arrays",
     "mapping_columns",
     "segment_sums",
@@ -232,6 +233,34 @@ def mapping_columns(mapping: Mapping) -> _MappingColumns:
     return columns
 
 
+class SearchTables(NamedTuple):
+    """Plain-Python lookup tables of one problem for the exact
+    branch-and-bound search (:func:`repro.algorithms.exact.exact_minimize`).
+
+    Every entry is a list or tuple indexed like the NumPy tables of
+    :class:`EvaluationContext` and holding the same numbers, so a search
+    node reads ``bw_link[a][u][v]`` instead of resolving a link through
+    the platform's dictionaries.
+    """
+
+    #: Per application: ``prefix[i]`` is the total work of stages ``0 .. i-1``.
+    prefix: List[List[float]]
+    #: Per application: ``delta[i]`` is the data consumed by stage ``i``;
+    #: ``delta[n]`` is the final output.
+    delta: List[List[float]]
+    #: Per application and first stage ``lo``: the last stages an interval
+    #: starting at ``lo`` may end at, ``(lo, .., n - 1)``.
+    interval_ends: List[List[Tuple[int, ...]]]
+    #: Per application: ``bw_in[a][u]`` of the link ``Pin_a -> P_u``.
+    bw_in: List[List[float]]
+    #: Per application: ``bw_out[a][u]`` of the link ``P_u -> Pout_a``.
+    bw_out: List[List[float]]
+    #: Per application: ``bw_link[a][u][v]`` of the link ``P_u -- P_v``.
+    bw_link: List[List[List[float]]]
+    #: Per processor: ``(speed, energy)`` of every mode, slowest first.
+    modes: List[Tuple[Tuple[float, float], ...]]
+
+
 class EvaluationContext:
     """Vectorized criteria evaluation for one ``(apps, platform)`` pair.
 
@@ -260,6 +289,7 @@ class EvaluationContext:
         "_bw_out",
         "_bw_link",
         "_batch",
+        "_search",
     )
 
     def __init__(
@@ -290,6 +320,7 @@ class EvaluationContext:
         # Flattened per-application tables for evaluate_many, built on
         # first batched call (they materialize every bandwidth table).
         self._batch: Dict[str, np.ndarray] = {}
+        self._search: Optional[SearchTables] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -453,6 +484,38 @@ class EvaluationContext:
             table.setflags(write=False)
             self._bw_link[key] = table
         return table
+
+    def search_tables(self) -> SearchTables:
+        """The branch-and-bound lookup tables, built on first call and
+        shared by every later search on this problem (all the cells of
+        one front, say)."""
+        if self._search is None:
+            energy = self.energy_model.processor_energy
+            apps = range(len(self.apps))
+            # Apps without a bandwidth override share one link table.
+            links: Dict[int, List[List[float]]] = {}
+            bw_link = []
+            for a in apps:
+                table = self.link_bandwidths(a)
+                if id(table) not in links:
+                    links[id(table)] = table.tolist()
+                bw_link.append(links[id(table)])
+            self._search = SearchTables(
+                prefix=[prefix.tolist() for prefix in self._prefix],
+                delta=[delta.tolist() for delta in self._delta],
+                interval_ends=[
+                    [tuple(range(lo, app.n_stages)) for lo in range(app.n_stages)]
+                    for app in self.apps
+                ],
+                bw_in=[self.input_bandwidths(a).tolist() for a in apps],
+                bw_out=[self.output_bandwidths(a).tolist() for a in apps],
+                bw_link=bw_link,
+                modes=[
+                    tuple((s, energy(proc, s)) for s in proc.speeds)
+                    for proc in self.platform.processors
+                ],
+            )
+        return self._search
 
     # ------------------------------------------------------------------
     # Whole-mapping evaluation

@@ -106,6 +106,11 @@ MAX_WAIT_S = 10.0
 #: retry hint.
 LONG_POLL_MIN_HOLD_S = 1.0
 
+#: The ``error`` of the ``503`` a connection past :data:`MAX_CONNECTIONS`
+#: gets: the server is alive but busy (a router probe must not mark it
+#: down for it).
+BUSY_ERROR = "too many open connections"
+
 #: Seconds :meth:`HttpFrontEnd._close_connections` lets requests still
 #: being served finish their response before cancelling them.
 _CLOSE_GRACE_S = 5.0
@@ -460,13 +465,13 @@ class HttpFrontEnd:
                 if retry > 0:
                     return _response(
                         503,
-                        {"error": "too many open connections", "retry_after": retry},
+                        {"error": BUSY_ERROR, "retry_after": retry},
                         {"Retry-After": str(math.ceil(retry))},
                     )
                 del self._long_polls[victim]
                 release.set_result(None)
             else:
-                return _response(503, {"error": "too many open connections"})
+                return _response(503, {"error": BUSY_ERROR})
             self._evicted.add(victim)
         self._connections[task] = reader
         return None

@@ -67,6 +67,7 @@ from ..experiments.cache import cell_key
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
 from .http import (
+    BUSY_ERROR,
     HttpFrontEnd,
     SolveServer,
     _FrontEndThread,
@@ -373,13 +374,19 @@ class ShardRouter(HttpFrontEnd):
 
     async def _probe(self, shard: Shard, timeout: float) -> None:
         try:
-            status, _headers, _payload = await self._forward(
+            status, _headers, payload = await self._forward(
                 shard, "GET", "/v1/healthz", timeout=timeout, count=False
             )
         except _UpstreamError as exc:
             self._mark_down(shard, str(exc))
             return
-        if status == 200:
+        # A shard refusing connections past its cap is busy, not dead.
+        busy = (
+            status == 503
+            and isinstance(payload, dict)
+            and payload.get("error") == BUSY_ERROR
+        )
+        if status == 200 or busy:
             self._mark_up(shard)
         else:
             self._mark_down(shard, f"healthz returned HTTP {status}")

@@ -7,6 +7,7 @@ the ``redirect_results`` mode (including its fall-back to proxying when
 the owning shard is down).
 """
 
+import http.server
 import json
 import threading
 import urllib.error
@@ -450,6 +451,79 @@ class TestMisbehavingShard:
         exc = excinfo.value
         assert exc.code == 500
         assert "RuntimeError: boom" in json.loads(exc.read().decode())["error"]
+
+
+class _StubHealthz(http.server.BaseHTTPRequestHandler):
+    """Answers every GET with the server's ``answer`` ``(status, body)``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        status, body = self.server.answer
+        data = json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestBusyShard:
+    """A shard at its connection cap answers healthz ``503 too many open
+    connections``: it is alive, so probes keep it up; a ``503 server is
+    closing`` (or any other status) is still a failed probe."""
+
+    @pytest.fixture()
+    def stub(self):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHealthz)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+
+    def sweep(self, server, answer, sweeps=3):
+        server.answer = answer
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        with RouterThread([("s", url)], health_interval=30.0) as rt:
+            for _ in range(sweeps):
+                rt.run_sync(lambda r: r.check_health())
+            return rt.run_sync(
+                lambda r: _return(
+                    (r.shards["s"].describe(), r._counters["markdowns"])
+                )
+            )
+
+    @pytest.mark.parametrize("retry_after", [0.5, None])
+    def test_connection_cap_503_keeps_the_shard_up(self, stub, retry_after):
+        body = {"error": "too many open connections"}
+        if retry_after is not None:
+            body["retry_after"] = retry_after
+        shard, markdowns = self.sweep(stub, (503, body))
+        assert shard["up"] is True
+        assert shard["consecutive_failures"] == 0
+        assert shard["last_error"] is None
+        assert markdowns == 0
+
+    @pytest.mark.parametrize(
+        "status, body",
+        [
+            (503, {"error": "server is closing"}),
+            (503, ["too many open connections"]),
+            (500, {"error": "too many open connections"}),
+        ],
+    )
+    def test_other_failures_mark_the_shard_down(self, stub, status, body):
+        shard, markdowns = self.sweep(stub, (status, body))
+        assert shard["up"] is False
+        assert f"HTTP {status}" in shard["last_error"]
+        assert markdowns == 1
 
 
 class TestSpawnLocalFleet:
