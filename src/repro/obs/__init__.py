@@ -10,14 +10,15 @@ solver engine):
   per-process ring buffer served by ``GET /v1/traces/{trace_id}`` (the
   shard router merges spans across the fleet) and optionally into a
   JSONL sink.  Solver engines report per-phase timings (neighborhood
-  generation, batch evaluation, accept replay, fused nopython kernels)
-  through near-zero-cost phase accumulators.
-* :mod:`repro.obs.metrics` — a small metrics registry: counters, gauges
+  generation, batch evaluation, accept replay) through near-zero-cost
+  phase accumulators.
+* :mod:`repro.obs.metrics` — the metrics registry: counters, gauges
   and fixed-bucket histograms with per-metric locks, safe to update from
-  any thread.
-* :mod:`repro.obs.export` — Prometheus text exposition rendered *from*
-  the JSON ``/v1/metrics`` payload, so the ``GET /metrics`` families are
-  consistent with the JSON counters by construction.
+  any thread.  The daemon and the router each keep every metric they
+  serve in one registry, the single source of their JSON
+  ``/v1/metrics`` payload and of ``GET /metrics``.
+* :mod:`repro.obs.export` — Prometheus text exposition rendered
+  generically, family by family, from registry snapshots.
 * :mod:`repro.obs.render` — operator surfaces: the ``repro-pipelines
   top`` fleet table, histogram quantile estimation and span-tree
   formatting (also used by the daemon's slow-solve log).

@@ -1,11 +1,12 @@
 """Prometheus text exposition for ``GET /metrics``.
 
-The exposition is rendered *from* the JSON ``/v1/metrics`` payload (the
-daemon's :meth:`SolveService.metrics` or the router's fleet aggregate),
-never from live metric objects: both surfaces therefore describe the
-same atomic snapshot and every histogram bucket count in the text
-format matches the ``histograms`` section of the JSON payload by
-construction.
+One generic renderer: :func:`to_prometheus` turns
+:class:`~repro.obs.metrics.MetricsRegistry` snapshots into text,
+family by family, with no knowledge of which daemon or router metrics
+exist.  A daemon renders its own registry; a router renders its own,
+the fleet sums of its shards' counters and each shard's snapshot
+labelled ``shard=``.  The JSON ``/v1/metrics`` payload is derived from
+the same snapshots, so the two views agree by construction.
 
 Only the subset of the exposition format we emit is implemented:
 ``# HELP`` / ``# TYPE`` comments, ``metric{label="v"} value`` samples,
@@ -17,7 +18,7 @@ prefix.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["parse_prometheus", "to_prometheus"]
 
@@ -54,285 +55,99 @@ def _fmt_value(value: float) -> str:
     return repr(float(value))
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self._seen_header: Dict[str, None] = {}
-
-    def header(self, name: str, kind: str, help: str) -> None:
-        if name in self._seen_header:
-            return
-        self._seen_header[name] = None
-        self.lines.append("# HELP %s %s" % (name, help))
-        self.lines.append("# TYPE %s %s" % (name, kind))
-
-    def sample(
-        self,
-        name: str,
-        value: float,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.lines.append(
-            "%s%s %s" % (name, _fmt_labels(labels), _fmt_value(value))
-        )
-
-    def counter(
-        self,
-        name: str,
-        value: float,
-        help: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.header(name, "counter", help)
-        self.sample(name, value, labels)
-
-    def gauge(
-        self,
-        name: str,
-        value: float,
-        help: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.header(name, "gauge", help)
-        self.sample(name, value, labels)
-
-    def histogram(
-        self,
-        name: str,
-        snapshot: Mapping[str, Any],
-        help: str,
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        self.header(name, "histogram", help)
-        base = dict(labels) if labels else {}
-        for bound, cumulative in snapshot.get("buckets", []):
-            bucket_labels = dict(base)
-            bucket_labels["le"] = _fmt_value(float(bound))
-            self.sample(name + "_bucket", cumulative, bucket_labels)
-        inf_labels = dict(base)
-        inf_labels["le"] = "+Inf"
-        self.sample(name + "_bucket", snapshot.get("count", 0), inf_labels)
-        self.sample(name + "_sum", snapshot.get("sum", 0.0), base or None)
-        self.sample(name + "_count", snapshot.get("count", 0), base or None)
-
-    def render(self) -> str:
-        return "\n".join(self.lines) + "\n"
+def _histogram_lines(
+    name: str, snapshot: Mapping[str, Any], labels: Dict[str, str]
+) -> Iterator[str]:
+    for bound, cumulative in snapshot["buckets"]:
+        yield _sample(name + "_bucket", cumulative, dict(labels, le=_fmt_value(bound)))
+    yield _sample(name + "_bucket", snapshot["count"], dict(labels, le="+Inf"))
+    yield _sample(name + "_sum", snapshot["sum"], labels)
+    yield _sample(name + "_count", snapshot["count"], labels)
 
 
-def _emit_histograms(
-    writer: _Writer,
-    histograms: Mapping[str, Any],
-    extra_labels: Optional[Mapping[str, str]] = None,
-) -> None:
-    for raw_name, snap in sorted(histograms.items()):
-        name = "%s_%s" % (_PREFIX, raw_name)
-        help_text = "distribution of %s" % raw_name.replace("_", " ")
-        if "series" in snap:
-            labelnames = snap.get("labelnames") or ["label"]
-            for key, series in sorted(snap["series"].items()):
-                labels = dict(extra_labels or {})
-                labels.update(zip(labelnames, key.split("|")))
-                writer.histogram(name, series, help_text, labels)
-        else:
-            writer.histogram(name, snap, help_text, extra_labels)
+def _sample(name: str, value: float, labels: Mapping[str, str]) -> str:
+    return "%s%s %s" % (name, _fmt_labels(labels), _fmt_value(value))
 
 
-def _emit_daemon(
-    writer: _Writer,
-    payload: Mapping[str, Any],
-    labels: Optional[Mapping[str, str]] = None,
-) -> None:
-    """Emit one daemon's families (optionally labelled with its shard)."""
-    queue = payload.get("queue", {})
-    jobs = payload.get("jobs", {})
-    solver = payload.get("solver", {})
-    cache = payload.get("cache", {})
-
-    writer.gauge(
-        "%s_uptime_seconds" % _PREFIX,
-        float(payload.get("uptime_s", 0.0)),
-        "seconds since the service started",
-        labels,
-    )
-    writer.gauge(
-        "%s_queue_depth" % _PREFIX,
-        float(queue.get("depth", 0)),
-        "cells waiting in the queue",
-        labels,
-    )
-    writer.gauge(
-        "%s_queue_running" % _PREFIX,
-        float(queue.get("running", 0)),
-        "cells currently solving",
-        labels,
-    )
-    writer.gauge(
-        "%s_queue_concurrency" % _PREFIX,
-        float(queue.get("concurrency", 0)),
-        "configured solve concurrency",
-        labels,
-    )
-    if queue.get("max_depth") is not None:
-        writer.gauge(
-            "%s_queue_max_depth" % _PREFIX,
-            float(queue["max_depth"]),
-            "bound on queued cells",
-            labels,
-        )
-    if "jobs_in_flight" in payload:
-        writer.gauge(
-            "%s_jobs_in_flight" % _PREFIX,
-            float(payload["jobs_in_flight"]),
-            "accepted jobs not yet finished",
-            labels,
-        )
-    for key in sorted(jobs):
-        writer.counter(
-            "%s_jobs_%s_total" % (_PREFIX, key),
-            float(jobs[key]),
-            "jobs %s since start" % key,
-            labels,
-        )
-    writer.counter(
-        "%s_solver_evaluations_total" % _PREFIX,
-        float(solver.get("evaluations", 0)),
-        "solver mapping evaluations",
-        labels,
-    )
-    writer.counter(
-        "%s_solver_solve_time_seconds_total" % _PREFIX,
-        float(solver.get("solve_time_s", 0.0)),
-        "cumulative cell solve wall-clock",
-        labels,
-    )
-    if "entries" in cache:
-        writer.gauge(
-            "%s_cache_entries" % _PREFIX,
-            float(cache["entries"]),
-            "results-cache entries",
-            labels,
-        )
-    _emit_histograms(writer, payload.get("histograms", {}), labels)
+Source = Tuple[Mapping[str, Any], Mapping[str, str]]
 
 
-def _daemon_to_prometheus(payload: Mapping[str, Any]) -> str:
-    writer = _Writer()
-    info_labels = {"version": str(payload.get("version", ""))}
-    if payload.get("shard"):
-        info_labels["shard"] = str(payload["shard"])
-    writer.gauge(
-        "%s_build_info" % _PREFIX, 1.0, "daemon build/identity info", info_labels
-    )
-    shard_labels = (
-        {"shard": str(payload["shard"])} if payload.get("shard") else None
-    )
-    _emit_daemon(writer, payload, shard_labels)
-    return writer.render()
+def to_prometheus(sources: Iterable[Source]) -> str:
+    """Render registry snapshots as Prometheus text.
 
-
-def _router_to_prometheus(payload: Mapping[str, Any]) -> str:
-    writer = _Writer()
-    writer.gauge(
-        "%s_build_info" % _PREFIX,
-        1.0,
-        "router build/identity info",
-        {"version": str(payload.get("version", "")), "role": "router"},
-    )
-    writer.gauge(
-        "%s_router_uptime_seconds" % _PREFIX,
-        float(payload.get("uptime_s", 0.0)),
-        "seconds since the router started",
-    )
-    router = payload.get("router", {})
-    for key in sorted(router):
-        value = router[key]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            writer.counter(
-                "%s_router_%s_total" % (_PREFIX, key),
-                float(value),
-                "router %s since start" % key,
-            )
-    ring = payload.get("ring", {})
-    if "nodes" in ring:
-        # HashRing.describe() reports the node *names*; older shapes a
-        # bare count — accept both.
-        nodes = ring["nodes"]
-        count = len(nodes) if isinstance(nodes, (list, tuple)) else nodes
-        writer.gauge(
-            "%s_ring_nodes" % _PREFIX,
-            float(count),
-            "shards on the hash ring",
-        )
-    health_entries = payload.get("shard_health", [])
-    if isinstance(health_entries, Mapping):  # tolerate dict-keyed shapes
-        health_entries = [
-            {"name": name, **entry}
-            for name, entry in sorted(health_entries.items())
-        ]
-    for health in sorted(
-        health_entries, key=lambda h: str(h.get("name", ""))
-    ):
-        labels = {"shard": str(health.get("name", ""))}
-        writer.gauge(
-            "%s_shard_up" % _PREFIX,
-            1.0 if health.get("up") else 0.0,
-            "shard health as seen by the router",
-            labels,
-        )
-        if "consecutive_failures" in health:
-            writer.gauge(
-                "%s_shard_consecutive_failures" % _PREFIX,
-                float(health["consecutive_failures"]),
-                "consecutive probe/forward failures",
-                labels,
-            )
-    fleet = payload.get("fleet", {})
-    for key in sorted(fleet.get("jobs", {})):
-        writer.counter(
-            "%s_fleet_jobs_%s_total" % (_PREFIX, key),
-            float(fleet["jobs"][key]),
-            "fleet-wide jobs %s" % key,
-        )
-    solver = fleet.get("solver", {})
-    if solver:
-        writer.counter(
-            "%s_fleet_solver_evaluations_total" % _PREFIX,
-            float(solver.get("evaluations", 0)),
-            "fleet-wide solver evaluations",
-        )
-        writer.counter(
-            "%s_fleet_solver_solve_time_seconds_total" % _PREFIX,
-            float(solver.get("solve_time_s", 0.0)),
-            "fleet-wide solve wall-clock",
-        )
-    _emit_histograms(writer, payload.get("histograms", {}))
-    # Per-shard daemon families, labelled by shard name.
-    for shard, sub in sorted(payload.get("shards", {}).items()):
-        if not isinstance(sub, Mapping) or "error" in sub:
-            continue
-        _emit_daemon(writer, sub, {"shard": str(shard)})
-    return writer.render()
-
-
-def to_prometheus(payload: Mapping[str, Any]) -> str:
-    """Render a ``/v1/metrics`` JSON payload as Prometheus text."""
-    if payload.get("role") == "router":
-        return _router_to_prometheus(payload)
-    return _daemon_to_prometheus(payload)
+    Each source is a :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
+    snapshot and the labels every one of its samples carries (a
+    router's ``shard=``).  A metric ``name`` becomes family
+    ``repro_<name>``; the samples of one family from every source form
+    one group under a single ``HELP``/``TYPE`` header, in the order the
+    families first appear.
+    """
+    families: Dict[str, Tuple[str, str, List[str]]] = {}
+    for snapshot, labels in sources:
+        for raw_name, metric in snapshot.items():
+            name = "%s_%s" % (_PREFIX, raw_name)
+            kind = metric["type"]
+            lines = families.setdefault(
+                name, (kind, metric.get("help") or raw_name.replace("_", " "), [])
+            )[2]
+            if "series" in metric:
+                rows = [
+                    ({**labels, **dict(zip(metric["labelnames"], key.split("|")))}, value)
+                    for key, value in sorted(metric["series"].items())
+                ]
+            else:  # a histogram's snapshot is its own value
+                rows = [(dict(labels), metric.get("value", metric))]
+            for row_labels, value in rows:
+                if kind == "histogram":
+                    lines.extend(_histogram_lines(name, value, row_labels))
+                else:
+                    lines.append(_sample(name, value, row_labels))
+    out: List[str] = []
+    for name, (kind, help_text, lines) in families.items():
+        out.append("# HELP %s %s" % (name, help_text))
+        out.append("# TYPE %s %s" % (name, kind))
+        out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 def parse_prometheus(
     text: str,
 ) -> Dict[str, List[Tuple[Dict[str, str], float]]]:
-    """Parse exposition text back into ``{family: [(labels, value)]}``.
+    """Parse exposition text back into ``{sample name: [(labels, value)]}``.
 
     A deliberately small parser used by tests and CI smoke checks to
     assert the text format is well-formed and consistent with the JSON
-    payload; not a general-purpose Prometheus client.
+    payload; not a general-purpose Prometheus client.  Like the format
+    itself it requires every family to be one group: a family whose
+    ``TYPE`` line or samples reappear after another family's is a
+    ``ValueError``.  A histogram's ``_bucket``/``_sum``/``_count``
+    samples belong to the family its ``TYPE`` line declares.
     """
     out: Dict[str, List[Tuple[Dict[str, str], float]]] = {}
+    histograms: Set[str] = set()
+    done: Set[str] = set()
+    current: Optional[str] = None
+
+    def enter(family: str) -> None:
+        nonlocal current
+        if family == current:
+            return
+        if family in done:
+            raise ValueError("family %r is split into several groups" % family)
+        if current is not None:
+            done.add(current)
+        current = family
+
     for line in text.splitlines():
         line = line.strip()
+        if line.startswith("# TYPE "):
+            fields = line.split()
+            if len(fields) != 4:
+                raise ValueError("malformed TYPE line: %r" % line)
+            enter(fields[2])
+            if fields[3] == "histogram":
+                histograms.add(fields[2])
+            continue
         if not line or line.startswith("#"):
             continue
         try:
@@ -352,6 +167,9 @@ def parse_prometheus(
                     if not (raw.startswith('"') and raw.endswith('"')):
                         raise ValueError("malformed label value: %r" % chunk)
                     labels[key] = _unescape_label(raw[1:-1])
+        base, _, suffix = name.rpartition("_")
+        histogram_sample = base in histograms and suffix in ("bucket", "sum", "count")
+        enter(base if histogram_sample else name)
         if value_part == "+Inf":
             value = math.inf
         elif value_part == "-Inf":

@@ -1,21 +1,24 @@
 """Minimal metrics primitives: counters, gauges, fixed-bucket histograms.
 
+The daemon and the router each keep every counter and gauge they serve
+in one :class:`MetricsRegistry`.  Its snapshot (:meth:`~MetricsRegistry.to_dict`)
+is the single source of both views: the JSON ``/v1/metrics`` payload is
+derived from it, and :func:`repro.obs.export.to_prometheus` renders it
+family by family for ``GET /metrics``.
+
 Each metric guards its state with its own lock, so concurrent observers
 (the asyncio event-loop thread, executor callbacks, HTTP scrape threads)
-never contend on a global.  Snapshots are plain JSON-serializable dicts;
-the Prometheus text exposition in :mod:`repro.obs.export` is rendered
-from the same snapshots the JSON ``/v1/metrics`` payload embeds, which
-keeps the two surfaces consistent by construction.
-
-Histogram buckets are fixed at construction (cumulative ``le`` bounds in
-the Prometheus style); the default latency ladder spans 100 µs – 60 s.
+never contend on a global.  A counter or gauge may instead be computed
+on read (``fn=``) from state the program keeps anyway.  Histogram
+buckets are fixed at construction (cumulative ``le`` bounds in the
+Prometheus style); the default latency ladder spans 100 µs – 60 s.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -25,6 +28,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "counter_view",
+    "of_kind",
+    "sum_counters",
 ]
 
 #: Solve-wall / queue-wait latencies: 100 µs .. 60 s.
@@ -45,60 +51,72 @@ COUNT_BUCKETS: Tuple[float, ...] = (
 )
 
 
-class Counter:
+class _Scalar:
+    """A counter or gauge: one value, or a value per label set.
+
+    With ``fn`` the metric holds no state and reads ``fn()`` instead:
+    the way to serve a value the program already keeps (a queue's
+    length, a shard's health).  Labelled scalars are always computed:
+    ``fn`` returns ``{"|"-joined label values: value}``.  Values keep
+    their type, so an int counter stays an int.
+    """
+
+    kind = ""
+
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        fn: Optional[Callable[[], Any]] = None,
+        labelnames: Sequence[str] = (),
+    ):
+        if labelnames and fn is None:
+            raise ValueError("labelled %s %r needs fn" % (self.kind, name))
+        self.name = name
+        self.help = help
+        self.labelnames = tuple(labelnames)
+        self._fn = fn
+        self._lock = threading.Lock()
+        self._value: Any = 0
+
+    def inc(self, amount: float = 1) -> None:
+        with self._lock:
+            self._value += amount
+
+    @property
+    def value(self) -> Any:
+        if self._fn is not None:
+            return self._fn()
+        with self._lock:
+            return self._value
+
+    def snapshot(self) -> Dict[str, Any]:
+        if self.labelnames:
+            return {
+                "type": self.kind,
+                "labelnames": list(self.labelnames),
+                "series": dict(self.value),
+            }
+        return {"type": self.kind, "value": self.value}
+
+
+class Counter(_Scalar):
     """Monotonic counter."""
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge:
+class Gauge(_Scalar):
     """Last-write-wins gauge."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value = 0.0
-
     def set(self, value: float) -> None:
         with self._lock:
-            self._value = float(value)
+            self._value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "gauge", "value": self.value}
+    def dec(self, amount: float = 1) -> None:
+        self.inc(-amount)
 
 
 class _HistogramSeries:
@@ -216,25 +234,23 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Any] = {}
 
-    def _get_or_create(self, name: str, factory) -> Any:
+    def _get_or_create(self, name: str, cls: type, factory) -> Any:
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
                 metric = factory()
                 self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        metric = self._get_or_create(name, lambda: Counter(name, help))
-        if not isinstance(metric, Counter):
+        if type(metric) is not cls:
             raise TypeError("metric %r already registered as %s" % (name, metric.kind))
         return metric
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name, help))
-        if not isinstance(metric, Gauge):
-            raise TypeError("metric %r already registered as %s" % (name, metric.kind))
-        return metric
+    def counter(self, name: str, help: str = "", **kwargs: Any) -> Counter:
+        """Get or create a counter (``fn=``, ``labelnames=``: :class:`_Scalar`)."""
+        return self._get_or_create(name, Counter, lambda: Counter(name, help, **kwargs))
+
+    def gauge(self, name: str, help: str = "", **kwargs: Any) -> Gauge:
+        """Get or create a gauge (``fn=``, ``labelnames=``: :class:`_Scalar`)."""
+        return self._get_or_create(name, Gauge, lambda: Gauge(name, help, **kwargs))
 
     def histogram(
         self,
@@ -243,19 +259,17 @@ class MetricsRegistry:
         buckets: Sequence[float] = LATENCY_BUCKETS,
         labelnames: Sequence[str] = (),
     ) -> Histogram:
-        metric = self._get_or_create(
-            name, lambda: Histogram(name, help, buckets, labelnames)
+        return self._get_or_create(
+            name, Histogram, lambda: Histogram(name, help, buckets, labelnames)
         )
-        if not isinstance(metric, Histogram):
-            raise TypeError("metric %r already registered as %s" % (name, metric.kind))
-        return metric
 
     def names(self) -> List[str]:
         with self._lock:
             return list(self._metrics)
 
     def to_dict(self, kinds: Optional[Iterable[str]] = None) -> Dict[str, Any]:
-        """Snapshot every metric (optionally filtered by kind) as JSON."""
+        """Snapshot every metric (optionally filtered by kind) as JSON,
+        each with its ``help`` text."""
         wanted = set(kinds) if kinds is not None else None
         with self._lock:
             items = list(self._metrics.items())
@@ -264,4 +278,34 @@ class MetricsRegistry:
             if wanted is not None and metric.kind not in wanted:
                 continue
             out[name] = metric.snapshot()
+            out[name]["help"] = metric.help
         return out
+
+
+def of_kind(snapshot: Mapping[str, Any], kind: str) -> Dict[str, Any]:
+    """The metrics of one kind in a :meth:`MetricsRegistry.to_dict`
+    snapshot."""
+    return {name: m for name, m in snapshot.items() if m["type"] == kind}
+
+
+def counter_view(snapshot: Mapping[str, Any], prefix: str) -> Dict[str, Any]:
+    """``{key: value}`` of a snapshot's unlabelled
+    ``<prefix><key>_total`` counters, in registration order (the flat
+    counter sections of the JSON ``/v1/metrics`` payload)."""
+    return {
+        name[len(prefix):-len("_total")]: m["value"]
+        for name, m in of_kind(snapshot, "counter").items()
+        if name.startswith(prefix) and name.endswith("_total") and "value" in m
+    }
+
+
+def sum_counters(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
+    """The unlabelled counters of several snapshots summed by name: the
+    fleet totals of a router's shards, as a snapshot."""
+    out: Dict[str, Any] = {}
+    for snapshot in snapshots:
+        for name, m in of_kind(snapshot, "counter").items():
+            if "value" in m:
+                total = out.setdefault(name, dict(m, value=0))
+                total["value"] += m["value"]
+    return out

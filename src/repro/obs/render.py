@@ -105,12 +105,7 @@ def render_top(payload: Mapping[str, Any]) -> str:
     """Render a ``/v1/metrics`` payload as the ``top`` fleet table."""
     rows: List[List[str]] = [list(_TOP_HEADER)]
     if payload.get("role") == "router":
-        raw_health = payload.get("shard_health") or {}
-        if isinstance(raw_health, Mapping):
-            health = {str(name): dict(entry) for name, entry in raw_health.items()}
-        else:
-            # The router serves health as a list of Shard.describe() dicts.
-            health = {str(h.get("name")): h for h in raw_health}
+        health = {str(h.get("name")): h for h in payload.get("shard_health", [])}
         shards = payload.get("shards", {})
         for name in sorted(shards):
             sub = shards[name] if isinstance(shards[name], Mapping) else {}

@@ -28,9 +28,11 @@ POST     ``/v1/fronts``                submit an anytime Pareto-front sweep
                                        answered from cache immediately)
 GET      ``/v1/fronts/{id}``           front-so-far + hypervolume +
                                        done/total telemetry
-GET      ``/v1/metrics``               queue/job/solver counters (JSON)
-GET      ``/metrics``                  the same counters + histograms in
-                                       Prometheus text exposition format
+GET      ``/v1/metrics``               queue/job/solver counters and
+                                       histograms (JSON), derived from the
+                                       front end's metrics registry
+GET      ``/metrics``                  the same registry in Prometheus
+                                       text exposition format
 GET      ``/v1/traces/{trace_id}``     recorded spans of one distributed
                                        trace (``404`` when none)
 GET      ``/v1/healthz``               liveness + version
@@ -327,10 +329,11 @@ class HttpFrontEnd:
 
     Subclasses implement the handlers :meth:`_route` dispatches to:
     ``_healthz``, ``_metrics``, ``_trace`` and ``_list_jobs`` return a
-    payload served with ``200``; ``_submit``, ``_job_request``,
-    ``_result``, ``_submit_front`` and ``_front_request`` return
-    ``(status, payload, headers)``.  Handlers raise :class:`_HttpError`
-    for error answers; any other exception is a ``500``.  A connection
+    payload served with ``200``, ``_prometheus`` the ``/metrics`` text;
+    ``_submit``, ``_job_request``, ``_result``, ``_submit_front`` and
+    ``_front_request`` return ``(status, payload, headers)``.  Handlers
+    raise :class:`_HttpError` for error answers; any other exception is
+    a ``500``.  A connection
     is served until the client sends ``Connection: close``, speaks
     HTTP/1.0, idles :data:`IDLE_TIMEOUT_S` or sends a request that
     cannot be framed; a request not whole :data:`REQUEST_DEADLINE_S`
@@ -373,10 +376,8 @@ class HttpFrontEnd:
         split = urlsplit(target)
         parts = [p for p in split.path.split("/") if p]
         if parts == ["metrics"]:
-            # Prometheus scrape target: text exposition rendered from
-            # the same payload GET /v1/metrics serves as JSON.
             _expect(method, "GET")
-            return 200, _PlainText(to_prometheus(await self._metrics())), {}
+            return 200, _PlainText(await self._prometheus()), {}
         if parts[:1] != ["v1"]:
             raise _HttpError(404, f"unknown path {split.path!r}")
         rest = parts[1:]
@@ -643,6 +644,11 @@ class SolveServer(HttpFrontEnd):
 
     async def _metrics(self) -> Dict[str, Any]:
         return self.service.metrics()
+
+    async def _prometheus(self) -> str:
+        shard = self.service.shard
+        labels = {"shard": shard} if shard else {}
+        return to_prometheus([(self.service.metrics_registry.to_dict(), labels)])
 
     def _job(self, job_id: str):
         try:

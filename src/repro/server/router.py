@@ -37,7 +37,8 @@ Failure semantics
   ``GET /v1/fronts/{id}`` routes back by suffix.
 
 ``GET /v1/metrics`` aggregates the fleet (per-shard metrics plus summed
-job counters); ``GET /v1/jobs`` merges the shards' listings.  With
+job counters) and ``GET /metrics`` renders the same registries as
+Prometheus text; ``GET /v1/jobs`` merges the shards' listings.  With
 ``redirect_results=True`` the router answers result fetches with a
 ``307`` redirect to the owning shard instead of proxying the payload
 bytes through itself.
@@ -66,6 +67,7 @@ from .. import __version__
 from ..experiments.cache import cell_key
 from ..obs import metrics as obs_metrics
 from ..obs import spans as obs_spans
+from ..obs.export import to_prometheus
 from .http import (
     BUSY_ERROR,
     HttpFrontEnd,
@@ -79,6 +81,7 @@ from .http import (
 )
 from .protocol import parse_front_payload, parse_job_payload
 from .ring import DEFAULT_VNODES, HashRing
+from .service import SOLVER_COUNTERS, solver_view
 
 __all__ = [
     "RouterThread",
@@ -143,21 +146,20 @@ class Shard:
     consecutive_failures: int = 0
     last_error: Optional[str] = None
     marked_down_at: Optional[float] = None
-    forwarded: int = 0
     #: Local child process when the router spawned this shard itself.
     process: Optional[subprocess.Popen] = field(
         default=None, repr=False, compare=False
     )
 
     def describe(self) -> Dict[str, Any]:
-        """Health view for ``/v1/healthz`` and ``/v1/metrics``."""
+        """Health view for ``/v1/healthz`` and ``/v1/metrics`` (the
+        router adds ``forwarded``)."""
         return {
             "name": self.name,
             "url": self.url,
             "up": self.up,
             "consecutive_failures": self.consecutive_failures,
             "last_error": self.last_error,
-            "forwarded": self.forwarded,
         }
 
 
@@ -288,6 +290,9 @@ class ShardRouter(HttpFrontEnd):
         names = [name for name, _ in shards]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate shard names: {sorted(names)}")
+        if any("|" in name for name in names):
+            # Labelled gauges key their series by "|"-joined label values.
+            raise ValueError(f"shard names may not contain '|': {sorted(names)}")
         self.shards: Dict[str, Shard] = {
             name: Shard(name=name, url=url.rstrip("/"))
             for name, url in shards
@@ -303,17 +308,39 @@ class ShardRouter(HttpFrontEnd):
         self._upstreams: Dict[str, _ShardConnections] = {}
         self._started_at = time.time()
         self._started_mono = time.monotonic()
-        self._counters = {
-            "submitted": 0,
-            "forwarded": 0,
-            "retries": 0,
-            "relayed_429": 0,
-            "markdowns": 0,
-            "markups": 0,
-            "unroutable": 0,
-        }
-        self.metrics_registry = obs_metrics.MetricsRegistry()
-        self._h_forward = self.metrics_registry.histogram(
+        reg = self.metrics_registry = obs_metrics.MetricsRegistry()
+        reg.gauge(
+            "build_info", "Router build/identity info.",
+            fn=lambda: {f"{__version__}|router": 1}, labelnames=("version", "role"),
+        )
+        reg.gauge(
+            "router_uptime_seconds", "Seconds since the router started.",
+            fn=lambda: time.monotonic() - self._started_mono,
+        )
+        # The JSON ``router`` section lists these in registration order.
+        self._c_submitted = reg.counter("router_submitted_total", "Submissions routed.")
+        reg.counter(
+            "router_forwarded_total", "Requests forwarded to shards (probes excluded).",
+            fn=lambda: sum(s["count"] for s in self._h_forward.snapshot()["series"].values()),
+        )
+        self._c_retries = reg.counter("router_retries_total", "Retries on a next replica.")
+        self._c_relayed_429 = reg.counter("router_relayed_429_total", "429s relayed.")
+        self._c_markdowns = reg.counter("router_markdowns_total", "Shards marked down.")
+        self._c_markups = reg.counter("router_markups_total", "Shards marked back up.")
+        self._c_unroutable = reg.counter("router_unroutable_total", "Submissions unroutable.")
+        reg.gauge("ring_nodes", "Shards on the hash ring.", fn=lambda: len(self.ring.nodes))
+        reg.gauge(
+            "shard_up", "Shard health as seen by the router.", labelnames=("shard",),
+            fn=lambda: {s.name: int(s.up) for s in self.shards.values()},
+        )
+        reg.gauge(
+            "shard_consecutive_failures", "Consecutive probe/forward failures.",
+            labelnames=("shard",),
+            fn=lambda: {s.name: s.consecutive_failures for s in self.shards.values()},
+        )
+        #: The one store of forward counts: a series' count is its
+        #: shard's ``forwarded``, their sum the router's.
+        self._h_forward = reg.histogram(
             "forward_seconds",
             "Per-hop latency of requests forwarded to a shard daemon.",
             obs_metrics.LATENCY_BUCKETS,
@@ -357,7 +384,7 @@ class ShardRouter(HttpFrontEnd):
         if shard.up and shard.consecutive_failures >= self.fail_threshold:
             shard.up = False
             shard.marked_down_at = time.time()
-            self._counters["markdowns"] += 1
+            self._c_markdowns.inc()
 
     def _mark_up(self, shard: Shard) -> None:
         shard.consecutive_failures = 0
@@ -365,7 +392,7 @@ class ShardRouter(HttpFrontEnd):
         if not shard.up:
             shard.up = True
             shard.marked_down_at = None
-            self._counters["markups"] += 1
+            self._c_markups.inc()
 
     async def _health_loop(self) -> None:
         while True:
@@ -416,9 +443,6 @@ class ShardRouter(HttpFrontEnd):
         """``(status, lower-cased headers, JSON body)`` of one request to
         ``shard``; :class:`_UpstreamError` when it is unreachable or
         silent past ``timeout`` (default ``upstream_timeout``)."""
-        if count:
-            self._counters["forwarded"] += 1
-            shard.forwarded += 1
         t0 = time.perf_counter()
         upstream = self._upstreams.get(shard.url)
         if upstream is None:
@@ -440,7 +464,8 @@ class ShardRouter(HttpFrontEnd):
             return status, resp_headers, payload
         finally:
             # Health probes (count=False) stay out of the hop-latency
-            # histogram — they would flood it with sub-ms samples.
+            # histogram, and so out of the forward counts — they would
+            # flood it with sub-ms samples.
             if count:
                 self._h_forward.labels(shard.name).observe(
                     time.perf_counter() - t0
@@ -486,11 +511,11 @@ class ShardRouter(HttpFrontEnd):
         rewrite; other statuses pass through.  When every candidate
         shed, the last ``429`` (``Retry-After`` included) is relayed;
         when none was reachable, ``503``."""
-        self._counters["submitted"] += 1
+        self._c_submitted.inc()
         shed: Optional[Tuple[int, Dict[str, str], Dict[str, Any]]] = None
         for hop, shard in enumerate(self.candidates_for(key)):
             if hop:
-                self._counters["retries"] += 1
+                self._c_retries.inc()
             tried.append(shard.name)
             try:
                 status, resp_headers, resp = await self._forward(
@@ -510,14 +535,14 @@ class ShardRouter(HttpFrontEnd):
                 resp = rewrite(resp, shard.name)
             return status, resp, {}
         if shed is not None:
-            self._counters["relayed_429"] += 1
+            self._c_relayed_429.inc()
             status, resp_headers, resp = shed
             out_headers = {}
             if resp_headers.get("retry-after"):
                 out_headers["Retry-After"] = resp_headers["retry-after"]
             resp.setdefault("tried", tried)
             return status, resp, out_headers
-        self._counters["unroutable"] += 1
+        self._c_unroutable.inc()
         raise _HttpError(
             503,
             f"no shard reachable for this key (tried {tried})",
@@ -715,36 +740,65 @@ class ShardRouter(HttpFrontEnd):
         spans.sort(key=lambda s: (s.get("start") or 0.0, s.get("name", "")))
         return {"trace_id": trace_id, "count": len(spans), "spans": spans}
 
-    async def _metrics(self) -> Dict[str, Any]:
-        shards = list(self.shards.values())
+    def _shard_health(self, forwards: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """Every shard's health, ``forwarded`` read off its
+        ``forward_seconds`` series (snapshot ``forwards``)."""
+        return [
+            dict(s.describe(), forwarded=forwards.get(s.name, {}).get("count", 0))
+            for s in self.shards.values()
+        ]
+
+    async def _scrape(self) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
+        """Every shard's ``/v1/metrics`` payload (``{"error": ...}`` when
+        unavailable or without a ``registry``), then this router's
+        registry snapshot and the shards' counters summed by name (the
+        solver sums read 0 while no shard answers)."""
         per_shard: Dict[str, Any] = {}
-        fleet_jobs: Dict[str, int] = {}
-        fleet_solver = {"evaluations": 0, "solve_time_s": 0.0}
-        for shard, resp, error in await self._fan_out(shards, "/v1/metrics"):
-            if resp is None:
-                per_shard[shard.name] = {"error": error}
-                continue
-            per_shard[shard.name] = resp
-            for counter, value in resp.get("jobs", {}).items():
-                fleet_jobs[counter] = fleet_jobs.get(counter, 0) + int(value)
-            solver = resp.get("solver", {})
-            fleet_solver["evaluations"] += int(solver.get("evaluations", 0))
-            fleet_solver["solve_time_s"] += float(
-                solver.get("solve_time_s", 0.0)
-            )
+        for shard, resp, error in await self._fan_out(list(self.shards.values()), "/v1/metrics"):
+            if resp is not None and not isinstance(resp.get("registry"), dict):
+                error = "metrics payload has no registry"
+            per_shard[shard.name] = resp if error is None else {"error": error}
+        zeros = {
+            name: {"type": "counter", "help": help, "value": 0}
+            for name, help in SOLVER_COUNTERS
+        }
+        fleet = obs_metrics.sum_counters(
+            [sub["registry"] for sub in per_shard.values() if "registry" in sub] + [zeros]
+        )
+        return per_shard, self.metrics_registry.to_dict(), fleet
+
+    async def _metrics(self) -> Dict[str, Any]:
+        per_shard, snap, fleet = await self._scrape()
         return {
             "version": __version__,
             "role": "router",
-            "uptime_s": time.monotonic() - self._started_mono,
-            "router": dict(self._counters),
+            "uptime_s": snap["router_uptime_seconds"]["value"],
+            "router": obs_metrics.counter_view(snap, "router_"),
             "ring": self.ring.describe(),
-            "shard_health": [s.describe() for s in shards],
-            "fleet": {"jobs": fleet_jobs, "solver": fleet_solver},
+            "shard_health": self._shard_health(snap["forward_seconds"]["series"]),
+            "fleet": {
+                "jobs": obs_metrics.counter_view(fleet, "jobs_"),
+                "solver": solver_view(fleet),
+            },
             "shards": per_shard,
-            "histograms": self.metrics_registry.to_dict(
-                kinds=("histogram",)
-            ),
+            "histograms": obs_metrics.of_kind(snap, "histogram"),
+            "registry": snap,
         }
+
+    async def _prometheus(self) -> str:
+        per_shard, snap, fleet = await self._scrape()
+        fleet = {
+            "fleet_" + name: dict(m, help="Fleet-wide: " + m["help"])
+            for name, m in fleet.items()
+        }
+        sources = [(snap, {}), (fleet, {})]
+        for name, sub in sorted(per_shard.items()):
+            if "registry" in sub:
+                # A shard is identified by its label; its own build_info
+                # would repeat the router's.
+                shard_snap = {k: m for k, m in sub["registry"].items() if k != "build_info"}
+                sources.append((shard_snap, {"shard": name}))
+        return to_prometheus(sources)
 
     def _healthz(self) -> Dict[str, Any]:
         up = sum(1 for s in self.shards.values() if s.up)
@@ -755,7 +809,7 @@ class ShardRouter(HttpFrontEnd):
             "uptime_s": time.monotonic() - self._started_mono,
             "shards_up": up,
             "shards_total": len(self.shards),
-            "shards": [s.describe() for s in self.shards.values()],
+            "shards": self._shard_health(self._h_forward.snapshot()["series"]),
         }
 
     @staticmethod

@@ -119,6 +119,25 @@ def solve_cell(
     return batch.items[0]
 
 
+#: The daemon's solver counters, ``(name, help)``; a router serves
+#: their fleet sums even while no shard answers.
+SOLVER_COUNTERS = (
+    ("solver_evaluations_total", "Solver evaluations."),
+    ("solver_solve_time_seconds_total", "Solve wall-clock."),
+)
+
+
+def solver_view(snapshot: Dict[str, Any]) -> Dict[str, Any]:
+    """The JSON ``solver`` counters of a daemon registry snapshot (or of
+    a router's fleet sums; zero when no shard answered)."""
+    return {
+        "evaluations": snapshot.get("solver_evaluations_total", {}).get("value", 0),
+        "solve_time_s": float(
+            snapshot.get("solver_solve_time_seconds_total", {}).get("value", 0)
+        ),
+    }
+
+
 class MemoryCache:
     """Dict-backed stand-in for :class:`~repro.experiments.ResultsCache`.
 
@@ -277,44 +296,56 @@ class SolveService:
         self._seq = 0
         self._cond: Optional[asyncio.Condition] = None
         self._workers: List[asyncio.Task] = []
-        self._running_cells = 0
         self._closing = False
         self._started_at = time.time()
         self._started_mono = time.monotonic()
-        self._counters = {
-            "submitted": 0,
-            "completed": 0,
-            "solved": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "cancelled": 0,
-            "errors": 0,
-            "infeasible": 0,
-            "shed": 0,
-        }
-        self._evaluations_total = 0
-        self._solve_time_total = 0.0
         #: EWMA of recent solve wall times (alpha=0.25), used by the
         #: ``Retry-After`` hint so it tracks the current workload mix
         #: instead of the lifetime mean; ``None`` before the first solve.
         self._solve_time_recent: Optional[float] = None
-        self.metrics_registry = obs_metrics.MetricsRegistry()
-        self._h_queue_wait = self.metrics_registry.histogram(
+        reg = self.metrics_registry = obs_metrics.MetricsRegistry()
+        reg.gauge(
+            "build_info", "Daemon build/identity info.",
+            fn=lambda: {__version__: 1}, labelnames=("version",),
+        )
+        reg.gauge("uptime_seconds", "Seconds since the service started.", fn=lambda: self.uptime)
+        reg.gauge("queue_depth", "Cells waiting in the queue.", fn=lambda: self.queue_depth)
+        self._g_running = reg.gauge("queue_running", "Cells currently solving.")
+        reg.gauge("queue_concurrency", "Configured solve concurrency.").set(concurrency)
+        if max_queue_depth is not None:
+            reg.gauge("queue_max_depth", "Bound on queued cells.").set(max_queue_depth)
+        reg.gauge("jobs_in_flight", "Jobs not yet finished.", fn=lambda: self.jobs_in_flight)
+        # The JSON ``jobs`` section lists these in registration order.
+        self._c_submitted = reg.counter("jobs_submitted_total", "Jobs accepted.")
+        self._c_completed = reg.counter("jobs_completed_total", "Jobs finished.")
+        self._c_solved = reg.counter("jobs_solved_total", "Cells solved.")
+        self._c_cache_hits = reg.counter("jobs_cache_hits_total", "Jobs answered from cache.")
+        self._c_coalesced = reg.counter("jobs_coalesced_total", "Jobs joined to a live cell.")
+        self._c_cancelled = reg.counter("jobs_cancelled_total", "Jobs cancelled.")
+        self._c_errors = reg.counter("jobs_errors_total", "Jobs ended in error.")
+        self._c_infeasible = reg.counter("jobs_infeasible_total", "Jobs found infeasible.")
+        self._c_shed = reg.counter("jobs_shed_total", "Submissions the full queue shed.")
+        self._c_evaluations, self._c_solve_time = (
+            reg.counter(name, help) for name, help in SOLVER_COUNTERS
+        )
+        if hasattr(self.cache, "__len__"):
+            reg.gauge("cache_entries", "Results-cache entries.", fn=lambda: len(self.cache))
+        self._h_queue_wait = reg.histogram(
             "queue_wait_seconds",
             "Time cells spent queued before their solve started.",
             obs_metrics.LATENCY_BUCKETS,
         )
-        self._h_solve_wall = self.metrics_registry.histogram(
+        self._h_solve_wall = reg.histogram(
             "solve_wall_seconds",
             "Wall-clock time of executed solves (cache hits excluded).",
             obs_metrics.LATENCY_BUCKETS,
         )
-        self._h_cache_lookup = self.metrics_registry.histogram(
+        self._h_cache_lookup = reg.histogram(
             "cache_lookup_seconds",
             "Duration of the dedup/cache lookup on the submit path.",
             obs_metrics.FAST_LATENCY_BUCKETS,
         )
-        self._h_evaluations = self.metrics_registry.histogram(
+        self._h_evaluations = reg.histogram(
             "evaluations_per_job",
             "Solver evaluations performed per executed cell.",
             obs_metrics.COUNT_BUCKETS,
@@ -435,7 +466,7 @@ class SolveService:
         if coalesce:
             job = self._accept(key, problem, solver, priority, trace_id)
             cell.jobs.append(job)
-            self._counters["coalesced"] += 1
+            self._c_coalesced.inc()
             if priority > cell.priority and cell.state is JobState.QUEUED:
                 cell.priority = priority
                 self._push_cell(cell)
@@ -447,7 +478,7 @@ class SolveService:
             job = self._accept(key, problem, solver, priority, trace_id)
             outcome = JobOutcome.from_cache_payload(payload)
             job.resolve(outcome, source="cache")
-            self._counters["cache_hits"] += 1
+            self._c_cache_hits.inc()
             self._count_completion(outcome)
             return job
 
@@ -455,7 +486,7 @@ class SolveService:
             self.max_queue_depth is not None
             and self.queue_depth >= self.max_queue_depth
         ):
-            self._counters["shed"] += 1
+            self._c_shed.inc()
             raise ServiceOverloadedError(
                 f"queue is full ({self.queue_depth}/{self.max_queue_depth} "
                 "cells queued); retry later",
@@ -496,7 +527,7 @@ class SolveService:
             trace_id=trace_id,
         )
         self._remember(job)
-        self._counters["submitted"] += 1
+        self._c_submitted.inc()
         return job
 
     @property
@@ -557,7 +588,7 @@ class SolveService:
             return False
         cell = self._inflight.get(job.key)
         job.cancel()
-        self._counters["cancelled"] += 1
+        self._c_cancelled.inc()
         if cell is not None and job in cell.jobs:
             cell.jobs.remove(job)
             if not cell.jobs and cell.state is JobState.QUEUED:
@@ -594,37 +625,39 @@ class SolveService:
     def metrics(self) -> Dict[str, Any]:
         """Counters and gauges for ``GET /v1/metrics``.
 
-        The shape is additive-only across releases: existing keys keep
+        One :attr:`metrics_registry` snapshot, taken on the event-loop
+        thread that updates it, is the source of every counter, gauge
+        and histogram here; it is served whole under ``registry`` (a
+        router reads its shards' from there) and ``GET /metrics``
+        renders the same registry.  The
+        shape is additive-only across releases: existing keys keep
         their meaning, new telemetry lands under new keys
-        (``jobs_in_flight``, ``histograms``, ``solver.solve_time_recent_s``).
-        The Prometheus text of ``GET /metrics`` is rendered from this
-        very payload (:func:`repro.obs.export.to_prometheus`), so the
-        two views cannot drift apart.
+        (``jobs_in_flight``, ``histograms``, ``registry``,
+        ``solver.solve_time_recent_s``).
         """
+        snap = self.metrics_registry.to_dict()
         return {
             "version": __version__,
             "shard": self.shard,
-            "uptime_s": self.uptime,
+            "uptime_s": snap["uptime_seconds"]["value"],
             "queue": {
-                "depth": self.queue_depth,
-                "running": self._running_cells,
-                "concurrency": self.concurrency,
-                "max_depth": self.max_queue_depth,
-                "shed": self._counters["shed"],
+                "depth": snap["queue_depth"]["value"],
+                "running": snap["queue_running"]["value"],
+                "concurrency": snap["queue_concurrency"]["value"],
+                "max_depth": snap.get("queue_max_depth", {}).get("value"),
+                "shed": snap["jobs_shed_total"]["value"],
             },
-            "jobs": dict(self._counters),
-            "jobs_in_flight": self.jobs_in_flight,
-            "solver": {
-                "evaluations": self._evaluations_total,
-                "solve_time_s": self._solve_time_total,
-                "solve_time_recent_s": self._solve_time_recent,
-            },
-            "cache": {"entries": len(self.cache)}
-            if hasattr(self.cache, "__len__")
-            else {},
-            "histograms": self.metrics_registry.to_dict(
-                kinds=("histogram",)
+            "jobs": obs_metrics.counter_view(snap, "jobs_"),
+            "jobs_in_flight": snap["jobs_in_flight"]["value"],
+            "solver": dict(
+                solver_view(snap),
+                solve_time_recent_s=self._solve_time_recent,
             ),
+            "cache": {"entries": snap["cache_entries"]["value"]}
+            if "cache_entries" in snap
+            else {},
+            "histograms": obs_metrics.of_kind(snap, "histogram"),
+            "registry": snap,
         }
 
     # ------------------------------------------------------------------
@@ -667,7 +700,7 @@ class SolveService:
         for job in cell.jobs:
             if not job.state.finished:
                 job.cancel()
-                self._counters["cancelled"] += 1
+                self._c_cancelled.inc()
         self._inflight.pop(cell.key, None)
 
     async def _next_cell(self) -> Optional[_Cell]:
@@ -681,7 +714,7 @@ class SolveService:
                         and entry_id == cell.entry_id
                     ):
                         cell.state = JobState.RUNNING
-                        self._running_cells += 1
+                        self._g_running.inc()
                         return cell
                 if self._closing:
                     return None
@@ -755,7 +788,7 @@ class SolveService:
 
     def _finish_cell(self, cell: _Cell, outcome: JobOutcome) -> None:
         cell.state = JobState.DONE
-        self._running_cells -= 1
+        self._g_running.dec()
         self._inflight.pop(cell.key, None)
         if outcome.spans:
             # Solver-phase spans recorded in the executor process ride
@@ -776,8 +809,8 @@ class SolveService:
                     trace_id=cell.trace_id,
                     parent_id=cell.parent_span_id,
                 )
-        self._counters["solved"] += 1
-        self._solve_time_total += outcome.wall_time
+        self._c_solved.inc()
+        self._c_solve_time.inc(outcome.wall_time)
         self._h_solve_wall.observe(outcome.wall_time)
         alpha = 0.25
         self._solve_time_recent = (
@@ -787,7 +820,7 @@ class SolveService:
             + (1.0 - alpha) * self._solve_time_recent
         )
         if outcome.telemetry is not None:
-            self._evaluations_total += outcome.telemetry.evaluations
+            self._c_evaluations.inc(outcome.telemetry.evaluations)
             self._h_evaluations.observe(outcome.telemetry.evaluations)
         for i, job in enumerate(cell.jobs):
             if job.state.finished:
@@ -817,11 +850,11 @@ class SolveService:
         print("\n".join(lines), file=sys.stderr, flush=True)
 
     def _count_completion(self, outcome: JobOutcome) -> None:
-        self._counters["completed"] += 1
+        self._c_completed.inc()
         if outcome.status == "error":
-            self._counters["errors"] += 1
+            self._c_errors.inc()
         elif outcome.status == "infeasible":
-            self._counters["infeasible"] += 1
+            self._c_infeasible.inc()
 
     def _cache_record(
         self, cell: _Cell, outcome: JobOutcome

@@ -1,5 +1,6 @@
 """Unit tests for counters, gauges, histograms and the registry."""
 
+import sys
 import threading
 
 import pytest
@@ -30,6 +31,43 @@ class TestCounterGauge:
         g.dec()
         assert g.value == 12.0
         assert g.snapshot() == {"type": "gauge", "value": 12.0}
+
+
+    def test_computed_values_keep_their_type(self):
+        c = Counter("hits")
+        c.inc()
+        assert c.snapshot() == {"type": "counter", "value": 1}
+        assert isinstance(c.value, int)
+        g = Gauge("up", fn=lambda: {"a": 1}, labelnames=("shard",))
+        assert g.snapshot() == {
+            "type": "gauge", "labelnames": ["shard"], "series": {"a": 1},
+        }
+        with pytest.raises(ValueError):
+            Gauge("up", labelnames=("shard",))  # labelled scalars are computed
+
+    def test_concurrent_increments_are_not_lost(self):
+        c = Counter("hits")
+        g = Gauge("running")
+
+        def worker():
+            for _ in range(2000):
+                c.inc()
+                g.inc()
+                g.dec()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert c.value == 16000
+        assert g.value == 0
 
 
 class TestHistogram:

@@ -195,15 +195,16 @@ class TestServiceShedding:
             # Slow prefix: 10 solves at 60s each.
             for _ in range(10):
                 cell, outcome = make(wall_time=60.0)
-                service._running_cells += 1
+                service._g_running.inc()
                 service._finish_cell(cell, outcome)
             # Fast regime: 30 solves at 0.1s each.
             for _ in range(30):
                 cell, outcome = make(wall_time=0.1)
-                service._running_cells += 1
+                service._g_running.inc()
                 service._finish_cell(cell, outcome)
+            metrics = service.metrics()
             lifetime_mean = (
-                service._solve_time_total / service._counters["solved"]
+                metrics["solver"]["solve_time_s"] / metrics["jobs"]["solved"]
             )
             assert lifetime_mean > 10.0  # slow prefix still dominates
             hint = service._retry_after_hint()

@@ -20,6 +20,7 @@ from repro.experiments import cell_key_for_payload
 from repro.experiments.spec import SolverSpec
 from repro.generators import small_random_problem
 from repro.io import problem_to_dict
+from repro.obs.export import parse_prometheus
 from repro.server import (
     DEFAULT_VNODES,
     HashRing,
@@ -114,6 +115,12 @@ class TestRouterValidation:
         with pytest.raises(ValueError, match="duplicate"):
             ShardRouter([
                 ("a", "http://127.0.0.1:1"), ("a", "http://127.0.0.1:2"),
+            ])
+
+    def test_names_with_the_label_separator_rejected(self):
+        with pytest.raises(ValueError, match="may not contain"):
+            ShardRouter([
+                ("a|b", "http://127.0.0.1:1"), ("a|c", "http://127.0.0.1:2"),
             ])
 
     def test_router_thread_surfaces_startup_error(self):
@@ -221,6 +228,37 @@ class TestRoutedFleet:
         assert "router: shards_up=2/2" in out
         assert "shard0" in out and "shard1" in out
         assert "solver: evaluations=" in out
+
+    def test_forward_counts_agree_and_exclude_health_probes(self, fleet, client):
+        # JSON router.forwarded, shard_health[].forwarded and the
+        # forward_seconds{shard} series counts are one store.
+        rt, _servers = fleet
+
+        async def _counts(r):
+            payload = await r._metrics()
+            families = parse_prometheus(await r._prometheus())
+            series = {
+                labels["shard"]: int(value)
+                for labels, value in families.get("repro_forward_seconds_count", [])
+            }
+            ((_, total),) = families["repro_router_forwarded_total"]
+            return payload, series, int(total)
+
+        def counts():
+            payload, series, total = rt.run_sync(_counts)
+            health = {h["name"]: h["forwarded"] for h in payload["shard_health"]}
+            assert health == {name: series.get(name, 0) for name in health}
+            assert payload["router"]["forwarded"] == sum(health.values()) == total
+            return total
+
+        before = counts()
+        for _ in range(3):
+            rt.run_sync(lambda r: r.check_health())
+        assert counts() == before
+        client.submit(problem(316))
+        client.submit(problem(317))
+        client.jobs()  # fans out to both up shards
+        assert counts() == before + 4
 
     def test_unsuffixed_job_id_is_404(self, client):
         with pytest.raises(ClientError, match="no shard suffix"):
@@ -496,7 +534,10 @@ class TestBusyShard:
                 rt.run_sync(lambda r: r.check_health())
             return rt.run_sync(
                 lambda r: _return(
-                    (r.shards["s"].describe(), r._counters["markdowns"])
+                    (
+                        r.shards["s"].describe(),
+                        r.metrics_registry.to_dict()["router_markdowns_total"]["value"],
+                    )
                 )
             )
 
