@@ -21,13 +21,13 @@ NP-hard cells are served by :mod:`repro.algorithms.exact` (brute force and
 branch-and-bound) and :mod:`repro.algorithms.heuristics`;
 :mod:`repro.algorithms.reductions` contains the hardness gadgets.
 The generic entry points :func:`minimize_period` / :func:`minimize_latency`
-dispatch on the problem's registry cell and, for NP-hard cells, fall back to
-the requested method (``"exact"`` or ``"heuristic"``).
+run the polynomial algorithm of the problem's mapping rule; choosing a
+solver per cell (exact, heuristic, Tables 1-2 dispatch) is the job of the
+strategies in :mod:`repro.strategies`.
 """
 
-from ..core.exceptions import SolverError
 from ..core.problem import ProblemInstance, Solution
-from ..core.types import Criterion, MappingRule, PlatformClass
+from ..core.types import MappingRule
 from . import exact, heuristics, reductions
 from .bicriteria_period_latency import (
     LatencyTable,
@@ -72,56 +72,20 @@ from .tricriteria import (
 )
 
 
-def minimize_period(
-    problem: ProblemInstance, method: str = "auto", *, budget=None
-) -> Solution:
-    """Minimize the global weighted period.
-
-    ``method="auto"`` dispatches to the paper's polynomial algorithm when
-    the instance sits in a polynomial cell (Theorems 1, 3) and raises
-    :class:`~repro.core.exceptions.SolverError` otherwise;
-    ``method="exact"`` forces branch-and-bound; ``method="heuristic"``
-    runs the constructive greedy followed by hill climbing.  ``budget``
-    optionally passes a cooperative budget meter (see
-    :class:`repro.strategies.SolveBudget`) into the exact/heuristic
-    loops; the polynomial algorithms ignore it.
-    """
-    if method == "exact":
-        return exact.exact_minimize(problem, Criterion.PERIOD, budget=budget)
-    if method == "heuristic":
-        start = (
-            heuristics.greedy_one_to_one_period(problem)
-            if problem.rule is MappingRule.ONE_TO_ONE
-            else heuristics.greedy_interval_period(problem, budget=budget)
-        )
-        return heuristics.hill_climb(
-            problem, start.mapping, Criterion.PERIOD, budget=budget
-        )
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+def minimize_period(problem: ProblemInstance) -> Solution:
+    """Minimize the global weighted period with the paper's polynomial
+    algorithm for the instance's cell (Theorems 1, 3); raises
+    :class:`~repro.core.exceptions.SolverError` outside the polynomial
+    cells.  Other solvers are strategies: ``repro.service.solve_one(
+    problem, "period", strategy="exact")``."""
     if problem.rule is MappingRule.ONE_TO_ONE:
         return minimize_period_one_to_one(problem)
     return minimize_period_interval(problem)
 
 
-def minimize_latency(
-    problem: ProblemInstance, method: str = "auto", *, budget=None
-) -> Solution:
-    """Minimize the global weighted latency (same dispatching contract as
+def minimize_latency(problem: ProblemInstance) -> Solution:
+    """Minimize the global weighted latency (same contract as
     :func:`minimize_period`; polynomial cells are Theorems 8 and 12)."""
-    if method == "exact":
-        return exact.exact_minimize(problem, Criterion.LATENCY, budget=budget)
-    if method == "heuristic":
-        start = (
-            heuristics.greedy_one_to_one_period(problem)
-            if problem.rule is MappingRule.ONE_TO_ONE
-            else heuristics.greedy_interval_period(problem, budget=budget)
-        )
-        return heuristics.hill_climb(
-            problem, start.mapping, Criterion.LATENCY, budget=budget
-        )
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if problem.rule is MappingRule.ONE_TO_ONE:
         return minimize_latency_one_to_one_fully_hom(problem)
     return minimize_latency_interval(problem)

@@ -49,7 +49,7 @@ __all__ = [
     "FrontResult",
     "IncrementalFront",
     "bisection_order",
-    "cell_dispatch_method",
+    "cell_dispatch_strategy",
     "compute_front_anytime",
     "hypervolume_2d",
     "plan_front",
@@ -97,8 +97,8 @@ def plan_front(
     return thresholds, bisection_order(len(thresholds))
 
 
-def cell_dispatch_method(problem: ProblemInstance) -> str:
-    """The solve method a daemon-submitted front cell must use to match
+def cell_dispatch_strategy(problem: ProblemInstance) -> str:
+    """The strategy a daemon-submitted front cell must use to match
     :func:`~repro.analysis.pareto._min_energy_at_period` byte-for-byte:
     ``"auto"`` on the polynomial (rule, platform) cells it routes to the
     closed-form solvers, ``"exact"`` (branch-and-bound) everywhere else.

@@ -32,10 +32,11 @@ Subcommands:
   (:class:`repro.client.SolveClient`) targeting a running daemon or
   router (they speak the same API).
 
-``solve-batch``, ``campaign run`` and ``submit`` accept ``--strategy``
-(a registered name or a composite spec like
-``portfolio(greedy,annealing)``) plus the budget flags ``--time-limit``
-/ ``--max-evals`` / ``--solver-seed``.
+``solve``, ``solve-batch``, ``campaign run`` and ``submit`` accept
+``--strategy`` (a registered name or a composite spec like
+``portfolio(greedy,annealing)``; ``--method`` is an older spelling, except
+on ``campaign run``) plus, except on ``solve``, the budget flags
+``--time-limit`` / ``--max-evals`` / ``--solver-seed``.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    from .algorithms import minimize_latency, minimize_period
+    from .core.exceptions import ReproError
     from .generators import small_random_problem
+    from .service import solve_one
 
     problem = small_random_problem(
         args.seed,
@@ -125,8 +127,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         model=CommunicationModel(args.model),
         n_apps=args.apps,
     )
-    fn = minimize_period if args.criterion == "period" else minimize_latency
-    solution = fn(problem, method=args.method)
+    try:
+        solution = solve_one(problem, args.criterion, strategy=args.strategy)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"solver  : {solution.solver}")
     print(f"optimal : {solution.optimal}")
     print(f"objective ({args.criterion}): {solution.objective:.6g}")
@@ -362,6 +367,19 @@ def _budget_from_args(args: argparse.Namespace):
     )
 
 
+def _add_strategy_flag(parser: argparse.ArgumentParser, default: str) -> None:
+    parser.add_argument(
+        "--strategy",
+        "--method",
+        dest="strategy",
+        default=default,
+        help="solver strategy name or composite spec, e.g. 'exact' or "
+        "'portfolio(greedy,local_search,annealing)'; registry = polynomial "
+        "solver when the cell allows, heuristic otherwise (see `strategies "
+        f"list`; --method is an older spelling; default: {default})",
+    )
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--time-limit",
@@ -452,7 +470,6 @@ def _cmd_solve_batch(args: argparse.Namespace) -> int:
     result = solve_batch(
         problems,
         objective=args.criterion,
-        method=args.method,
         workers=args.workers,
         strategy=args.strategy,
         budget=_budget_from_args(args),
@@ -491,16 +508,13 @@ def _cmd_solve_batch(args: argparse.Namespace) -> int:
         )
     print(result.summary())
     print(f"registry cells covered: {len(cells)}")
-    if args.strategy:
-        with_telemetry = [x for x in result.items if x.telemetry is not None]
-        evaluations = sum(x.telemetry.evaluations for x in with_telemetry)
-        n_exhausted = sum(
-            1 for x in with_telemetry if x.telemetry.budget_exhausted
-        )
-        print(
-            f"strategy={args.strategy} evaluations={evaluations} "
-            f"budget-exhausted={n_exhausted}/{len(result.items)}"
-        )
+    with_telemetry = [x for x in result.items if x.telemetry is not None]
+    evaluations = sum(x.telemetry.evaluations for x in with_telemetry)
+    n_exhausted = sum(1 for x in with_telemetry if x.telemetry.budget_exhausted)
+    print(
+        f"strategy={args.strategy} evaluations={evaluations} "
+        f"budget-exhausted={n_exhausted}/{len(result.items)}"
+    )
     return 0 if result.n_failed == 0 else 1
 
 
@@ -735,7 +749,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     solver_kwargs = dict(
         objective=args.objective,
         strategy=args.strategy,
-        method=None if args.strategy else args.method,
         budget=budget,
         max_period=args.max_period,
         max_latency=args.max_latency,
@@ -848,9 +861,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
                 if j["objective"] is not None
                 else "-"
             ),
-            j["request"]["solver"].get(
-                "strategy", j["request"]["solver"].get("method", "-")
-            ),
+            j["request"]["solver"].get("strategy", "-"),
         )
         for j in jobs
     ]
@@ -988,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[m.value for m in CommunicationModel],
         default=CommunicationModel.OVERLAP.value,
     )
-    solve.add_argument("--method", choices=["auto", "exact", "heuristic"], default="auto")
+    _add_strategy_flag(solve, "auto")
     solve.add_argument("--apps", type=int, default=2)
     solve.add_argument("--seed", type=int, default=0)
     solve.set_defaults(func=_cmd_solve)
@@ -1063,13 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--criterion", choices=["period", "latency"], default="period"
     )
     batch.add_argument(
-        "--method",
-        choices=["registry", "auto", "exact", "heuristic"],
-        default="registry",
-        help="registry = polynomial solver when the cell allows, "
-        "heuristic otherwise",
-    )
-    batch.add_argument(
         "--platform",
         choices=["all", *(c.value for c in PlatformClass)],
         default="all",
@@ -1089,13 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--apps", type=int, default=2)
     batch.add_argument("--modes", type=int, default=2)
     batch.add_argument("--seed", type=int, default=0)
-    batch.add_argument(
-        "--strategy",
-        default=None,
-        help="solver strategy name or composite spec, e.g. "
-        "'portfolio(greedy,local_search,annealing)' "
-        "(overrides --method; see `strategies list`)",
-    )
+    _add_strategy_flag(batch, "registry")
     _add_budget_flags(batch)
     batch.add_argument(
         "--quiet",
@@ -1427,16 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument(
         "--objective", choices=["period", "latency", "energy"], default="period"
     )
-    submit.add_argument(
-        "--method",
-        choices=["registry", "auto", "exact", "heuristic"],
-        default="registry",
-    )
-    submit.add_argument(
-        "--strategy",
-        default=None,
-        help="solver strategy name or composite spec (overrides --method)",
-    )
+    _add_strategy_flag(submit, "registry")
     _add_budget_flags(submit)
     submit.add_argument("--max-period", type=float, default=None)
     submit.add_argument("--max-latency", type=float, default=None)

@@ -381,7 +381,6 @@ class SolveClient:
         problem: ProblemInstance,
         *,
         objective: str = "period",
-        method: Optional[str] = None,
         strategy: Optional[str] = None,
         budget: Union[SolveBudget, Dict[str, Any], None] = None,
         max_period: Optional[float] = None,
@@ -391,15 +390,11 @@ class SolveClient:
     ) -> Dict[str, Any]:
         """Submit one job; returns the job view (``"id"``, ``"state"``).
 
-        ``method`` and ``strategy`` are mutually exclusive, exactly as
-        in campaign solver entries; omitting both uses the registry
-        dispatch.
+        Omitting ``strategy`` uses the registry dispatch.
         """
         solver: Dict[str, Any] = {"objective": objective}
         if strategy is not None:
             solver["strategy"] = strategy
-        elif method is not None:
-            solver["method"] = method
         if budget is not None:
             solver["budget"] = (
                 budget.to_dict() if isinstance(budget, SolveBudget) else budget
@@ -547,7 +542,6 @@ class SolveClient:
         self,
         problem: ProblemInstance,
         *,
-        method: Optional[str] = None,
         strategy: Optional[str] = None,
         budget: Union[SolveBudget, Dict[str, Any], None] = None,
         points: Optional[int] = None,
@@ -557,7 +551,7 @@ class SolveClient:
         (``POST /v1/fronts``); returns the front view (``"id"``,
         ``"state"``, ``"front"``, ``"hypervolume"``, ...).
 
-        The optional solver template (``method``/``strategy``/``budget``)
+        The optional solver template (``strategy``/``budget``)
         applies to every sweep cell; by default the daemon
         picks the per-cell dispatch that keeps the finished merge
         byte-identical to the offline exact front.  ``points`` caps the
@@ -566,8 +560,6 @@ class SolveClient:
         solver: Dict[str, Any] = {}
         if strategy is not None:
             solver["strategy"] = strategy
-        elif method is not None:
-            solver["method"] = method
         if budget is not None:
             solver["budget"] = (
                 budget.to_dict() if isinstance(budget, SolveBudget) else budget

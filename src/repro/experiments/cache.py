@@ -197,6 +197,10 @@ class ResultsCache:
         #: daemon benchmark can show what the memo saves.
         self.memo_hits = 0
         self.memo_misses = 0
+        #: Entry count: read from the directory on the first ``len()``,
+        #: then kept by this instance's own writes and removals (another
+        #: process writing the same directory is not seen).
+        self._count: Optional[int] = None
 
     def path(self, key: str) -> Path:
         """Filesystem location of a key's entry (two-level fan-out)."""
@@ -247,7 +251,9 @@ class ResultsCache:
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+                return None
+            if self._count is not None:
+                self._count -= 1
             return None
         self._memoize(key, record)
         return record
@@ -276,6 +282,7 @@ class ResultsCache:
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(record, sort_keys=True)
+        is_new = self._count is not None and not path.exists()
         # A stale tmp from a crashed writer with a recycled PID could
         # collide on O_EXCL; advancing the counter sidesteps it.
         for _attempt in range(8):
@@ -298,6 +305,8 @@ class ResultsCache:
                 except OSError:
                     pass
                 raise
+            if is_new:
+                self._count += 1
             self._memoize(key, record)
             return
         raise OSError(
@@ -312,4 +321,10 @@ class ResultsCache:
             yield entry.stem
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+        if self._count is None:
+            self._count = (
+                sum(1 for _ in self.root.glob("*/*.json"))
+                if self.root.exists()
+                else 0
+            )
+        return self._count

@@ -242,7 +242,6 @@ def run_campaign(
             batch = solve_batch(
                 [cells[i][2] for i in chunk],
                 objective=solver.objective,
-                method=solver.method,
                 workers=workers,
                 thresholds=solver.thresholds(),
                 strategy=solver.strategy,

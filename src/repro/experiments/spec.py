@@ -24,7 +24,7 @@ Example (YAML)::
         objective: period
       - name: greedy
         objective: period
-        method: heuristic
+        strategy: heuristic
       - name: racer
         objective: period
         strategy: portfolio(greedy,local_search,annealing)
@@ -33,10 +33,12 @@ Example (YAML)::
           seed: 0
 
 Every axis except ``platforms`` has a default, so the minimal spec is a
-name, one platform class and one solver.  Solver entries name either a
-legacy ``method`` or a ``strategy`` (any registered name or composite
-spec from :mod:`repro.strategies`), optionally with a per-solve
-``budget``.  Validation is strict: unknown
+name, one platform class and one solver.  Solver entries name a
+``strategy`` (any registered name or composite spec from
+:mod:`repro.strategies`; ``registry`` by default), optionally with a
+per-solve ``budget``.  The older key ``method`` spells one of the four
+dispatch strategies (``registry``, ``auto``, ``exact``, ``heuristic``)
+and is read as ``strategy``.  Validation is strict: unknown
 keys, unknown enum values, empty axes and ill-formed solver entries all
 raise :class:`CampaignSpecError` with the offending field named.
 """
@@ -54,6 +56,7 @@ from ..core.objectives import Thresholds
 from ..core.problem import ProblemInstance
 from ..core.types import CommunicationModel, MappingRule, PlatformClass
 from ..strategies import SolveBudget, StrategyError, parse_strategy
+from ..strategies.builtin import DISPATCH_STRATEGIES
 
 __all__ = [
     "CampaignSpec",
@@ -66,8 +69,6 @@ __all__ = [
 
 #: Objectives a solver configuration may optimize.
 OBJECTIVES = ("period", "latency", "energy")
-#: Dispatch methods accepted by :func:`repro.service.solve_one`.
-METHODS = ("registry", "auto", "exact", "heuristic")
 
 
 class CampaignSpecError(ReproError):
@@ -309,14 +310,11 @@ class SolverSpec:
         Unique label used in reports and cache records.
     objective:
         ``"period"``, ``"latency"`` or ``"energy"``.
-    method:
-        Dispatch method handed to :func:`repro.service.solve_one`
-        (``"registry"`` consults the complexity registry).  Ignored
-        when ``strategy`` is set; giving both explicitly is an error.
     strategy:
         Named solver strategy or composite spec string
         (``"annealing"``, ``"portfolio(greedy,local_search)"``); see
-        :mod:`repro.strategies`.
+        :mod:`repro.strategies`.  The default ``"registry"`` consults
+        the complexity registry.
     budget:
         Per-solve :class:`~repro.strategies.SolveBudget` (``time_limit``
         seconds, ``max_evaluations``, RNG ``seed``) enforced
@@ -329,8 +327,7 @@ class SolverSpec:
 
     name: str
     objective: str = "period"
-    method: str = "registry"
-    strategy: Optional[str] = None
+    strategy: str = "registry"
     budget: Optional[SolveBudget] = None
     max_period: Optional[float] = None
     max_latency: Optional[float] = None
@@ -354,11 +351,11 @@ class SolverSpec:
         Raises
         ------
         CampaignSpecError
-            On missing/empty ``name``, unknown keys, unknown objective
-            or method, an unparsable ``strategy`` spec, an ill-formed
-            ``budget``, both ``method`` and ``strategy`` given,
-            non-numeric thresholds, or an energy objective without
-            ``max_period``.
+            On missing/empty ``name``, unknown keys, unknown objective,
+            a ``method`` that is not a dispatch strategy, an unparsable
+            ``strategy`` spec, an ill-formed ``budget``, both ``method``
+            and ``strategy`` given, non-numeric thresholds, or an energy
+            objective without ``max_period``.
         """
         if not isinstance(payload, Mapping):
             raise CampaignSpecError(f"solver entries must be mappings, got {payload!r}")
@@ -372,30 +369,33 @@ class SolverSpec:
                 f"solver {name!r}: unknown objective {objective!r}; "
                 f"expected one of {list(OBJECTIVES)}"
             )
-        method = payload.get("method", "registry")
-        if method not in METHODS:
-            raise CampaignSpecError(
-                f"solver {name!r}: unknown method {method!r}; "
-                f"expected one of {list(METHODS)}"
-            )
+        # ``method`` is the older spelling of the four dispatch strategies.
         strategy = payload.get("strategy")
-        if strategy is not None:
-            if "method" in payload:
+        method = payload.get("method")
+        if method is not None:
+            if strategy is not None:
                 raise CampaignSpecError(
                     f"solver {name!r}: give either 'strategy' or 'method', "
-                    "not both (the method strings are aliases of the "
-                    "strategies of the same name)"
+                    "not both ('method' is an older spelling of 'strategy')"
                 )
-            if not strategy or not isinstance(strategy, str):
+            if method not in DISPATCH_STRATEGIES:
                 raise CampaignSpecError(
-                    f"solver {name!r}: 'strategy' must be a non-empty string"
+                    f"solver {name!r}: unknown method {method!r}; "
+                    f"expected one of {list(DISPATCH_STRATEGIES)}"
                 )
-            try:
-                parse_strategy(strategy)
-            except StrategyError as exc:
-                raise CampaignSpecError(
-                    f"solver {name!r}: invalid strategy: {exc}"
-                ) from None
+            strategy = method
+        if strategy is None:
+            strategy = "registry"
+        if not strategy or not isinstance(strategy, str):
+            raise CampaignSpecError(
+                f"solver {name!r}: 'strategy' must be a non-empty string"
+            )
+        try:
+            parse_strategy(strategy)
+        except StrategyError as exc:
+            raise CampaignSpecError(
+                f"solver {name!r}: invalid strategy: {exc}"
+            ) from None
         budget = None
         if payload.get("budget") is not None:
             try:
@@ -425,7 +425,6 @@ class SolverSpec:
         return cls(
             name=name,
             objective=objective,
-            method=method,
             strategy=strategy,
             budget=budget,
             **bounds,
@@ -436,13 +435,8 @@ class SolverSpec:
         out: Dict[str, Any] = {
             "name": self.name,
             "objective": self.objective,
+            "strategy": self.strategy,
         }
-        # strategy and method are mutually exclusive on input; emit the
-        # one that is actually in effect so the dict round-trips.
-        if self.strategy is not None:
-            out["strategy"] = self.strategy
-        else:
-            out["method"] = self.method
         if self.budget is not None:
             out["budget"] = self.budget.to_dict()
         for key in ("max_period", "max_latency", "max_energy"):

@@ -18,8 +18,8 @@ first.  As cells finish, :meth:`FrontRecord.refresh` folds their achieved
 /v1/fronts/{id}`` always returns the best front known so far plus
 hypervolume and done/total telemetry.
 
-With the default per-cell solvers (``"auto"`` on polynomial cells,
-``"exact"`` elsewhere — :func:`repro.analysis.front_engine.cell_dispatch_method`)
+With the default per-cell strategies (``"auto"`` on polynomial cells,
+``"exact"`` elsewhere — :func:`repro.analysis.front_engine.cell_dispatch_strategy`)
 the finished merge is byte-identical to
 :func:`repro.analysis.pareto.period_energy_front_exact`.
 """
@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..analysis.front_engine import (
     IncrementalFront,
-    cell_dispatch_method,
+    cell_dispatch_strategy,
     plan_front,
 )
 from ..core.problem import ProblemInstance
@@ -190,7 +190,7 @@ class FrontStore:
         """Plan the sweep and submit every cell.
 
         ``template`` optionally overrides the per-cell solver
-        (strategy/method/budget, the
+        (strategy/budget, the
         :func:`~repro.server.protocol.parse_front_payload` shape); by
         default each cell uses the dispatch that keeps the finished front
         byte-identical to the offline exact sweep.  Cells are submitted in
@@ -205,8 +205,8 @@ class FrontStore:
         thresholds, order = plan_front(problem, max_points=max_points)
         base = dict(template or {})
         base.setdefault("name", "front-cell")
-        if "strategy" not in base:
-            base.setdefault("method", cell_dispatch_method(problem))
+        if set(base) <= {"name", "budget"}:  # the template names no solver
+            base["strategy"] = cell_dispatch_strategy(problem)
         jobs: List[JobRecord] = []
         for index in order:
             solver = SolverSpec.from_dict(

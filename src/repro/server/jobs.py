@@ -198,11 +198,10 @@ class JobRecord:
 
     def request_summary(self) -> Dict[str, Any]:
         """Compact description of what was submitted (for listings)."""
-        spec: Dict[str, Any] = {"objective": self.solver.objective}
-        if self.solver.strategy is not None:
-            spec["strategy"] = self.solver.strategy
-        else:
-            spec["method"] = self.solver.method
+        spec: Dict[str, Any] = {
+            "objective": self.solver.objective,
+            "strategy": self.solver.strategy,
+        }
         if self.solver.budget is not None:
             spec["budget"] = self.solver.budget.to_dict()
         return {

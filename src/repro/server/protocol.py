@@ -7,7 +7,10 @@ the exact shape of a campaign ``solvers`` entry
 (:meth:`repro.experiments.SolverSpec.from_dict` — same keys, same strict
 validation), and a result is served as a
 :func:`repro.io.solution_to_dict` payload with the solve's telemetry
-embedded.
+embedded.  The solver's older key ``method`` is read as ``strategy``
+(one of the four dispatch strategies; giving both is a 400), so
+``{"method": "exact"}`` and ``{"strategy": "exact"}`` are the same
+request with the same cache key.
 
 Submission payload::
 
@@ -15,7 +18,7 @@ Submission payload::
       "problem": { ... problem_to_dict ... },
       "solver": {                      # optional; defaults shown
         "objective": "period",         # period | latency | energy
-        "method": "registry",          # or "strategy": "portfolio(...)"
+        "strategy": "registry",        # any spec, e.g. "portfolio(...)"
         "budget": {"time_limit": 1.0, "max_evaluations": 10000, "seed": 0},
         "max_period": 2.0              # thresholds, energy needs max_period
       },
@@ -105,7 +108,8 @@ def parse_front_payload(
     ``(problem, solver_template, max_points, priority)``.
 
     The solver template is a *partial* solver configuration applied to
-    every sweep cell (strategy/method/budget); the front engine
+    every sweep cell (strategy/budget; ``method`` spells a strategy as
+    in a job's solver); the front engine
     fills in ``objective="energy"`` and the per-cell ``max_period``, so a
     template carrying either of those — or any other job-payload key —
     is rejected.
@@ -141,7 +145,7 @@ def parse_front_payload(
         )
     template = dict(template)
     template.setdefault("name", DEFAULT_SOLVER_NAME)
-    # Validate strategy/method/budget by building a probe spec on a
+    # Validate strategy/budget by building a probe spec on a
     # placeholder threshold; the front engine re-builds per cell.
     try:
         SolverSpec.from_dict(

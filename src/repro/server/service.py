@@ -111,7 +111,6 @@ def solve_cell(
             [problem],
             objective=solver.objective,
             thresholds=solver.thresholds(),
-            method=solver.method,
             strategy=solver.strategy,
             budget=solver.budget,
             workers=None,

@@ -3,11 +3,12 @@
 The ROADMAP's north star is a system that serves *many* mapping problems
 fast, not one at a time.  This package provides that serving layer:
 
-* :func:`solve_one` -- strategy-aware dispatch of a single
-  :class:`~repro.core.problem.ProblemInstance`: the legacy ``method=``
-  strings alias the registered strategies of :mod:`repro.strategies`,
-  and ``strategy=``/``budget=`` accept any registered name or composite
-  spec (``"portfolio(greedy,annealing)"``) with a per-solve budget;
+* :func:`solve_one` -- solve a single
+  :class:`~repro.core.problem.ProblemInstance` with one strategy of
+  :mod:`repro.strategies`: ``strategy=`` takes any registered name
+  (``"registry"``, the Tables 1-2 dispatch, by default) or composite
+  spec (``"portfolio(greedy,annealing)"``), ``budget=`` a per-solve
+  budget;
 * :func:`solve_batch` -- fan a sequence of instances out over the
   process's worker pool (or solve sequentially) with auto-sized
   chunking, collecting per-instance :class:`BatchItem` records with
@@ -37,7 +38,7 @@ Quickstart::
 from .batch import (
     BatchItem,
     BatchResult,
-    dispatch_method,
+    dispatch_strategy,
     solve_batch,
     solve_one,
 )
@@ -48,7 +49,7 @@ __all__ = [
     "BatchResult",
     "PoolStats",
     "close_pool",
-    "dispatch_method",
+    "dispatch_strategy",
     "get_pool",
     "solve_batch",
     "solve_one",

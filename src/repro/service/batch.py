@@ -2,11 +2,10 @@
 
 Design notes
 ------------
-* Dispatch goes through the solver-strategy layer
-  (:mod:`repro.strategies`): the legacy ``method`` strings
-  (``"registry"|"auto"|"exact"|"heuristic"``) are thin aliases of the
-  registered strategies of the same name, and ``strategy=`` accepts any
-  registered name or composite spec
+* Every solve runs one strategy of :mod:`repro.strategies` through its
+  :meth:`~repro.strategies.SolverStrategy.run` harness: ``strategy=``
+  accepts any registered name (``"registry"``, the Tables 1-2 dispatch,
+  by default) or composite spec
   (``"portfolio(greedy,local_search,annealing)"``) plus an optional
   per-solve :class:`~repro.strategies.SolveBudget`.
 * Parallelism uses a *process* pool: the solvers are pure CPU-bound
@@ -22,8 +21,8 @@ Design notes
   and a worker death is contained to ``status="error"`` items for the
   jobs it had not finished.
 * Instances cross the pool pickled, inside the job chunks.  The shared
-  solve configuration (objective, method, thresholds, strategy spec,
-  budget, trace context) travels *once per worker per batch* instead of
+  solve configuration (objective, thresholds, strategy spec, budget,
+  trace context) travels *once per worker per batch* instead of
   inside every job.  When every job solves the *same* instance (the
   repeat-solve pattern, ``solve_batch([problem] * n)``), the instance
   moves into that configuration too: each worker receives it once per
@@ -50,25 +49,23 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 # each importing them on its first solve (about 45 ms per worker on a
 # 2-vCPU x86-64 host).
 from .. import algorithms  # noqa: F401
-from ..core.exceptions import InfeasibleProblemError
 from ..core.objectives import Thresholds
 from ..core.problem import ProblemInstance, Solution
 from ..obs import spans as _spans
 from ..strategies import (
-    BudgetMeter,
     SolveBudget,
     SolveTelemetry,
     SolverStrategy,
-    dispatch_method,
+    dispatch_strategy,
     parse_strategy,
-    solve_via_method,
 )
+from ..strategies.builtin import DISPATCH_STRATEGIES, require_period_bound
 from . import pool as _pool
 
 __all__ = [
     "BatchItem",
     "BatchResult",
-    "dispatch_method",
+    "dispatch_strategy",
     "solve_batch",
     "solve_one",
 ]
@@ -76,18 +73,19 @@ __all__ = [
 #: Objectives accepted by :func:`solve_one` / :func:`solve_batch`.
 _OBJECTIVES = ("period", "latency", "energy")
 
-#: One strategy spec (string or instance) or a legacy ``method`` string.
+#: One strategy spec: a registered name, a composite spec string or an
+#: instance.
 StrategyLike = Union[str, SolverStrategy]
 
 
 def solve_one(
     problem: ProblemInstance,
     objective: str = "period",
-    method: str = "registry",
+    strategy: Optional[StrategyLike] = None,
     thresholds: Optional[Thresholds] = None,
     *,
-    strategy: Optional[StrategyLike] = None,
     budget: Optional[SolveBudget] = None,
+    method: Optional[str] = None,
 ) -> Solution:
     """Solve a single instance.
 
@@ -98,24 +96,24 @@ def solve_one(
     objective:
         ``"period"``, ``"latency"`` or ``"energy"`` (energy requires a
         period bound in ``thresholds``).
-    method:
-        ``"registry"`` (default) consults :func:`dispatch_method` and uses
-        the polynomial solver when the cell allows it, the heuristics
-        otherwise; ``"auto"``, ``"exact"`` and ``"heuristic"`` force the
-        corresponding :mod:`repro.algorithms` path.  Ignored when
-        ``strategy`` is given.
+    strategy:
+        A registered strategy name, a composite spec string
+        (``"portfolio(greedy,annealing)"``) or a
+        :class:`~repro.strategies.SolverStrategy` instance.  The default
+        ``"registry"`` consults :func:`dispatch_strategy` and uses the
+        polynomial solver when the cell allows it, the heuristics
+        otherwise; ``"auto"``, ``"exact"`` and ``"heuristic"`` force
+        one of those paths.
     thresholds:
         Optional bounds on the non-optimized criteria (required for the
         energy objective: Section 3.5's energy is only meaningful under a
         period constraint).
-    strategy:
-        A registered strategy name, a composite spec string
-        (``"portfolio(greedy,annealing)"``) or a
-        :class:`~repro.strategies.SolverStrategy` instance; overrides
-        ``method``.
     budget:
         Per-solve :class:`~repro.strategies.SolveBudget` enforced
         cooperatively inside the heuristic/exact loops.
+    method:
+        The older spelling of ``strategy`` (one of the four names
+        above), read only when ``strategy`` is not given.
 
     Returns
     -------
@@ -126,24 +124,27 @@ def solve_one(
     ------
     ValueError
         On an unknown objective, or an energy objective without a
-        period threshold.
+        period threshold for one of the four dispatch strategies.
     InfeasibleProblemError
         When no mapping satisfies the constraints.
     StrategyError
         When a strategy spec cannot be resolved or the strategy failed
-        outside its declared capabilities.
+        (including ``"auto"`` outside the polynomial cells).
     """
     if objective not in _OBJECTIVES:
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {_OBJECTIVES}"
         )
-    if strategy is not None:
-        result = parse_strategy(strategy).run(
-            problem, objective, thresholds=thresholds, budget=budget
-        )
-        return result.raise_for_status()
-    meter = budget.meter() if budget is not None else None
-    return solve_via_method(problem, objective, method, thresholds, meter)
+    if strategy is None:
+        strategy = "registry" if method is None else method
+    if strategy in DISPATCH_STRATEGIES:
+        # Refused inside the strategy too; here it surfaces as itself
+        # rather than as a contained StrategyError.
+        require_period_bound(objective, thresholds)
+    result = parse_strategy(strategy).run(
+        problem, objective, thresholds=thresholds, budget=budget
+    )
+    return result.raise_for_status()
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ def _solve_indexed(
             index,
             config["problem"] if problem is None else problem,
             config["objective"],
-            config["method"],
             config["thresholds"],
             config["strategy"],
             config["budget"],
@@ -277,84 +277,32 @@ def _solve_job(
     index: int,
     problem: ProblemInstance,
     objective: str,
-    method: str,
     thresholds: Optional[Thresholds],
-    strategy: Optional[StrategyLike],
+    strategy: StrategyLike,
     budget: Optional[SolveBudget],
 ) -> BatchItem:
-    """Solve one indexed instance, catching failures into the item's
-    status instead of crashing the pool."""
+    """Solve one indexed instance; the strategy harness contains any
+    failure in the item's status instead of crashing the pool."""
     trace_id = _spans.current_trace_id()
-    if strategy is not None:
-        t0 = time.perf_counter()
-        with _spans.span(
-            "solve.run", strategy=str(strategy), index=index
-        ) as solve_span:
-            result = parse_strategy(strategy).run(
-                problem, objective, thresholds=thresholds, budget=budget
-            )
-        telemetry = result.telemetry
-        if solve_span.span_id is not None and telemetry is not None:
-            telemetry = replace(
-                telemetry, trace_id=trace_id, span_id=solve_span.span_id
-            )
-        return BatchItem(
-            index=index,
-            status=result.status,
-            wall_time=time.perf_counter() - t0,
-            solution=result.solution,
-            error=result.telemetry.error,
-            telemetry=telemetry,
-            spans=_take_trace_spans(trace_id),
-        )
-    meter = BudgetMeter(budget)
     t0 = time.perf_counter()
-    solution: Optional[Solution] = None
-    status = "ok"
-    error: Optional[str] = None
-    with _spans.span("solve.run", method=method, index=index) as solve_span:
-        try:
-            # The meter is threaded into the solver loops only when a
-            # budget was requested, keeping the legacy hot path
-            # overhead-free.
-            solution = solve_via_method(
-                problem,
-                objective,
-                method,
-                thresholds,
-                meter if budget is not None else None,
-            )
-        except InfeasibleProblemError as exc:
-            status, error = "infeasible", str(exc)
-        except Exception as exc:  # contained: one bad instance, one error
-            status, error = "error", f"{type(exc).__name__}: {exc}"
-    wall = time.perf_counter() - t0
+    with _spans.span(
+        "solve.run", strategy=str(strategy), index=index
+    ) as solve_span:
+        result = parse_strategy(strategy).run(
+            problem, objective, thresholds=thresholds, budget=budget
+        )
+    telemetry = result.telemetry
+    if solve_span.span_id is not None:
+        telemetry = replace(
+            telemetry, trace_id=trace_id, span_id=solve_span.span_id
+        )
     return BatchItem(
         index=index,
-        status=status,
-        wall_time=wall,
-        solution=solution,
-        error=error,
-        telemetry=SolveTelemetry(
-            strategy=method,
-            status=status,
-            wall_time=wall,
-            evaluations=meter.n_evaluations,
-            budget_exhausted=meter.exhausted,
-            objective=None if solution is None else solution.objective,
-            error=error,
-            values=(
-                None
-                if solution is None
-                else (
-                    solution.values.period,
-                    solution.values.latency,
-                    solution.values.energy,
-                )
-            ),
-            trace_id=trace_id,
-            span_id=solve_span.span_id,
-        ),
+        status=result.status,
+        wall_time=time.perf_counter() - t0,
+        solution=result.solution,
+        error=result.telemetry.error,
+        telemetry=telemetry,
         spans=_take_trace_spans(trace_id),
     )
 
@@ -382,12 +330,11 @@ def _auto_chunksize(n_jobs: int, workers: int) -> int:
 def solve_batch(
     problems: Sequence[ProblemInstance],
     objective: str = "period",
-    method: str = "registry",
+    strategy: StrategyLike = "registry",
     *,
     workers: Optional[int] = None,
     thresholds: Optional[Thresholds] = None,
     chunksize: Optional[int] = None,
-    strategy: Optional[StrategyLike] = None,
     budget: Optional[SolveBudget] = None,
 ) -> BatchResult:
     """Solve many instances, optionally fanning out over a process pool.
@@ -397,7 +344,7 @@ def solve_batch(
     problems:
         The instances; results keep their order (``items[i].index == i``)
         regardless of which worker solved what.
-    objective / method / thresholds / strategy / budget:
+    objective / strategy / thresholds / budget:
         Per-instance solve parameters, as in :func:`solve_one`.  The
         budget applies *per solve*, not to the whole batch.
     workers:
@@ -420,8 +367,7 @@ def solve_batch(
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {_OBJECTIVES}"
         )
-    if strategy is not None and isinstance(strategy, str):
-        parse_strategy(strategy)  # fail fast on a bad spec, pre-pool
+    parse_strategy(strategy)  # fail fast on a bad spec, pre-pool
     problems = list(problems)
     # Repeat-solve pattern: one instance solved many times travels to
     # each worker once per batch instead of once per job.
@@ -435,9 +381,7 @@ def solve_batch(
     extra_stats: Dict[str, float] = {}
     if n_workers <= 1 or _pool.in_worker():
         items: List[BatchItem] = [
-            _solve_job(
-                i, problem, objective, method, thresholds, strategy, budget
-            )
+            _solve_job(i, problem, objective, thresholds, strategy, budget)
             for i, problem in enumerate(problems)
         ]
         effective_workers = 1
@@ -445,7 +389,6 @@ def solve_batch(
         active_trace = _spans.current_trace_id()
         config: Dict[str, Any] = {
             "objective": objective,
-            "method": method,
             "thresholds": thresholds,
             "strategy": strategy,
             "budget": budget,

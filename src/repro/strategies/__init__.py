@@ -8,7 +8,8 @@ raced.  This package makes those choices first-class:
   declared :class:`Capabilities`;
 * the decorator-based registry (:func:`strategy`, :func:`get_strategy`,
   :func:`list_strategies`) holding every built-in path, from the
-  ``method=`` aliases to the per-theorem polynomial solvers
+  Tables 1-2 dispatch (``registry``, the default) to the per-theorem
+  polynomial solvers
   (:mod:`repro.strategies.builtin`);
 * :class:`SolveBudget` / :class:`BudgetMeter` — per-solve wall-clock
   deadlines, evaluation caps and RNG seeds, enforced cooperatively
@@ -48,7 +49,7 @@ from .base import (
     StrategyResult,
 )
 from .budget import BudgetMeter, SolveBudget
-from .builtin import dispatch_method, solve_via_method
+from .builtin import dispatch_strategy
 from .composite import (
     FallbackStrategy,
     PortfolioStrategy,
@@ -76,14 +77,13 @@ __all__ = [
     "SolverStrategy",
     "StrategyError",
     "StrategyResult",
-    "dispatch_method",
+    "dispatch_strategy",
     "fallback",
     "get_strategy",
     "list_strategies",
     "parse_strategy",
     "portfolio",
     "register",
-    "solve_via_method",
     "strategy",
     "strategy_names",
 ]

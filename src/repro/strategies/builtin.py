@@ -2,11 +2,11 @@
 
 Three groups:
 
-* **dispatch aliases** (``registry``, ``auto``, ``exact``,
-  ``heuristic``) — the historical ``method=`` strings of
-  :func:`repro.service.solve_one`, now introspectable strategies.  They
-  share :func:`solve_via_method`, the verbatim old dispatch logic, so
-  ``method="heuristic"`` and ``strategy="heuristic"`` are byte-identical.
+* **dispatch strategies** (``registry``, ``auto``, ``exact``,
+  ``heuristic``) — the default of every solve surface (``registry``
+  follows Tables 1-2) and the three paths it chooses between.  Their
+  names are also what the wire/YAML key ``method`` may spell
+  (:meth:`repro.experiments.SolverSpec.from_dict`).
 * **polynomial theorem solvers** (``period_one_to_one``,
   ``period_interval_dp``, ``latency_one_to_one``, ``latency_interval``,
   ``energy_matching``, ``energy_interval_dp``) — the paper's algorithms
@@ -33,7 +33,11 @@ from .base import Capabilities
 from .budget import BudgetMeter
 from .registry import strategy
 
-__all__ = ["dispatch_method", "solve_via_method"]
+__all__ = ["DISPATCH_STRATEGIES", "dispatch_strategy", "require_period_bound"]
+
+#: The Tables 1-2 dispatch (``registry``) and the three paths it chooses
+#: between; also what the wire/YAML key ``method`` may spell.
+DISPATCH_STRATEGIES = ("registry", "auto", "exact", "heuristic")
 
 #: The platform cells (string values of
 #: :class:`repro.algorithms.registry.PlatformCell`) where each theorem
@@ -48,8 +52,8 @@ _ANNEAL_DEFAULT_ITERATIONS = 2000
 _ANNEAL_UNCAPPED_ITERATIONS = 1_000_000_000
 
 
-def dispatch_method(problem: ProblemInstance, objective: str) -> str:
-    """The concrete method the complexity registry prescribes.
+def dispatch_strategy(problem: ProblemInstance, objective: str) -> str:
+    """The strategy the complexity registry prescribes.
 
     Parameters
     ----------
@@ -86,68 +90,16 @@ def dispatch_method(problem: ProblemInstance, objective: str) -> str:
     return "heuristic"
 
 
-def _solve_energy(
-    problem: ProblemInstance,
-    method: str,
-    thresholds: Thresholds,
-    meter: Optional[BudgetMeter] = None,
-) -> Solution:
-    """Energy minimization under a period bound, per the registry cell."""
-    from .. import algorithms
-
-    if method == "exact":
-        return algorithms.exact.exact_minimize(
-            problem, Criterion.ENERGY, thresholds, budget=meter
+def require_period_bound(objective: str, thresholds: Optional[Thresholds]) -> None:
+    """Energy is only meaningful under a period bound (the paper's
+    'server problem'); the dispatch strategies refuse it otherwise."""
+    if objective == "energy" and (
+        thresholds is None or not thresholds.constrains(Criterion.PERIOD)
+    ):
+        raise ValueError(
+            "the energy objective requires a period threshold "
+            "(the paper's 'server problem', Theorems 18-21)"
         )
-    if method == "heuristic":
-        start = (
-            algorithms.heuristics.greedy_one_to_one_period(problem)
-            if problem.rule is MappingRule.ONE_TO_ONE
-            else algorithms.heuristics.greedy_interval_period(
-                problem, budget=meter
-            )
-        )
-        return algorithms.heuristics.greedy_mode_downgrade(
-            problem, start.mapping, thresholds, budget=meter
-        )
-    if problem.rule is MappingRule.ONE_TO_ONE:
-        return algorithms.minimize_energy_given_period_one_to_one(
-            problem, thresholds
-        )
-    return algorithms.minimize_energy_given_period_interval(
-        problem, thresholds
-    )
-
-
-def solve_via_method(
-    problem: ProblemInstance,
-    objective: str,
-    method: str,
-    thresholds: Optional[Thresholds] = None,
-    meter: Optional[BudgetMeter] = None,
-) -> Solution:
-    """The historical ``method=`` dispatch of :func:`repro.service.solve_one`.
-
-    ``meter=None`` reproduces the pre-strategy behavior exactly; a live
-    meter threads the budget down into the heuristic/exact loops.
-    """
-    from .. import algorithms
-
-    if method == "registry":
-        method = dispatch_method(problem, objective)
-    if objective == "energy":
-        if thresholds is None or not thresholds.constrains(Criterion.PERIOD):
-            raise ValueError(
-                "the energy objective requires a period threshold "
-                "(the paper's 'server problem', Theorems 18-21)"
-            )
-        return _solve_energy(problem, method, thresholds, meter)
-    fn = (
-        algorithms.minimize_period
-        if objective == "period"
-        else algorithms.minimize_latency
-    )
-    return fn(problem, method=method, budget=meter)
 
 
 def _greedy_start(
@@ -172,7 +124,8 @@ def _with_objective(solution: Solution, objective: str) -> Solution:
 
 
 # ----------------------------------------------------------------------
-# Dispatch aliases (the historical ``method=`` strings).
+# Dispatch strategies.  Period and latency solves ignore thresholds
+# here (only energy takes its period bound).
 
 
 @strategy(
@@ -182,7 +135,8 @@ def _with_objective(solution: Solution, objective: str) -> Solution:
     "heuristic otherwise",
 )
 def _registry(problem, objective, thresholds, meter):
-    return solve_via_method(problem, objective, "registry", thresholds, meter)
+    solve = _auto if dispatch_strategy(problem, objective) == "auto" else _heuristic
+    return solve(problem, objective, thresholds, meter)
 
 
 @strategy(
@@ -192,7 +146,14 @@ def _registry(problem, objective, thresholds, meter):
     "(errors outside the polynomial cells)",
 )
 def _auto(problem, objective, thresholds, meter):
-    return solve_via_method(problem, objective, "auto", thresholds, meter)
+    require_period_bound(objective, thresholds)
+    one_to_one = problem.rule is MappingRule.ONE_TO_ONE
+    solve = {
+        "period": _period_one_to_one if one_to_one else _period_interval_dp,
+        "latency": _latency_one_to_one if one_to_one else _latency_interval,
+        "energy": _energy_matching if one_to_one else _energy_interval_dp,
+    }[objective]
+    return solve(problem, objective, thresholds, meter)
 
 
 @strategy(
@@ -202,7 +163,15 @@ def _auto(problem, objective, thresholds, meter):
     "budget-interruptible",
 )
 def _exact(problem, objective, thresholds, meter):
-    return solve_via_method(problem, objective, "exact", thresholds, meter)
+    from ..algorithms.exact import exact_minimize
+
+    require_period_bound(objective, thresholds)
+    return exact_minimize(
+        problem,
+        Criterion(objective),
+        thresholds if objective == "energy" else Thresholds(),
+        budget=meter,
+    )
 
 
 @strategy(
@@ -211,7 +180,15 @@ def _exact(problem, objective, thresholds, meter):
     summary="greedy start + hill climbing (mode downgrading for energy)",
 )
 def _heuristic(problem, objective, thresholds, meter):
-    return solve_via_method(problem, objective, "heuristic", thresholds, meter)
+    from .. import algorithms
+
+    require_period_bound(objective, thresholds)
+    if objective == "energy":
+        return _mode_scaling(problem, objective, thresholds, meter)
+    start = _greedy_start(problem, meter)
+    return algorithms.heuristics.hill_climb(
+        problem, start.mapping, Criterion(objective), budget=meter
+    )
 
 
 # ----------------------------------------------------------------------

@@ -24,8 +24,7 @@ class SolveTelemetry:
     ----------
     strategy:
         The strategy spec that ran (``"annealing"``,
-        ``"portfolio(greedy,local_search)"``, or the ``method`` alias on
-        the legacy path).
+        ``"portfolio(greedy,local_search)"``, ``"registry"``).
     status:
         ``"ok"``, ``"infeasible"`` or ``"error"``.
     wall_time:

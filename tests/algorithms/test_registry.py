@@ -22,6 +22,8 @@ from repro.algorithms.registry import (
     lookup,
 )
 from repro.generators import special_app_family
+from repro.service import solve_one
+from repro.strategies import StrategyError
 
 
 class TestTables:
@@ -139,7 +141,7 @@ class TestFacade:
             apps=apps, platform=Platform.fully_homogeneous(3, [2.0])
         )
         auto = minimize_period(problem)
-        exact = minimize_period(problem, method="exact")
+        exact = solve_one(problem, "period", strategy="exact")
         assert auto.objective == pytest.approx(exact.objective)
 
     def test_heuristic_method(self):
@@ -148,7 +150,7 @@ class TestFacade:
             [[1.0], [2.0], [3.0]], {(0, 1): 0.5, (0, 2): 2.0, (1, 2): 1.0}
         )
         problem = ProblemInstance(apps=apps, platform=platform)
-        s = minimize_period(problem, method="heuristic")
+        s = solve_one(problem, "period", strategy="heuristic")
         assert not s.optimal
         problem.check_mapping(s.mapping)
 
@@ -165,5 +167,5 @@ class TestFacade:
         problem = ProblemInstance(
             apps=apps, platform=Platform.fully_homogeneous(1, [1.0])
         )
-        with pytest.raises(ValueError):
-            minimize_period(problem, method="bogus")
+        with pytest.raises(StrategyError):
+            solve_one(problem, "period", strategy="bogus")

@@ -20,7 +20,7 @@ from repro.analysis import (
     period_energy_front_exact,
     plan_front,
 )
-from repro.analysis.front_engine import cell_dispatch_method
+from repro.analysis.front_engine import cell_dispatch_strategy
 from repro.analysis.pareto import _pareto_filter_scalar, dedupe_within_rtol
 from repro.core.types import MappingRule, PlatformClass
 from repro.generators import small_random_problem
@@ -220,7 +220,7 @@ class TestAnytimeByteIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_np_hard_grid_matches_exact_sweep(self, seed):
         problem = np_hard_problem(seed)
-        assert cell_dispatch_method(problem) == "exact"
+        assert cell_dispatch_strategy(problem) == "exact"
         exact = period_energy_front_exact(problem, max_points=30)
         result = compute_front_anytime(problem, max_points=30)
         assert result.front == exact
@@ -232,7 +232,7 @@ class TestAnytimeByteIdentity:
             rule=MappingRule.INTERVAL,
             n_apps=2,
         )
-        assert cell_dispatch_method(problem) == "auto"
+        assert cell_dispatch_strategy(problem) == "auto"
         assert compute_front_anytime(
             problem, max_points=30
         ).front == period_energy_front_exact(problem, max_points=30)

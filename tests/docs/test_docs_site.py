@@ -153,10 +153,15 @@ class TestExampleSpec:
     def test_example_spec_has_a_named_strategy_entry(self):
         from repro.strategies import parse_strategy
 
+        import yaml
+
         spec = self.load_example()
-        strategy_entries = [s for s in spec.solvers if s.strategy is not None]
-        assert strategy_entries, "example spec must show a strategy: entry"
-        solver = strategy_entries[0]
+        raw = yaml.safe_load(
+            (REPO_ROOT / "examples" / "campaign_small.yaml").read_text()
+        )
+        named = [e["name"] for e in raw["solvers"] if "strategy" in e]
+        assert named, "example spec must show a strategy: entry"
+        solver = next(s for s in spec.solvers if s.name == named[0])
         assert parse_strategy(solver.strategy).spec == solver.strategy
         # a bounded, seeded budget keeps the example deterministic
         assert solver.budget is not None

@@ -1,5 +1,9 @@
 """Content-addressed results cache (``repro.experiments.cache``)."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.experiments import (
     ResultsCache,
     cell_key,
@@ -7,7 +11,9 @@ from repro.experiments import (
     instance_digest,
     solver_digest,
 )
+from repro.experiments.cache import cell_key_for_payload
 from repro.generators import small_random_problem
+from repro.io import problem_to_dict
 
 
 class TestDigests:
@@ -36,6 +42,14 @@ class TestDigests:
         assert cell_key(problem, solver) == combine_digests(
             instance_digest(problem), solver_digest(solver)
         )
+
+    @pytest.mark.parametrize("name", ["registry", "auto", "exact", "heuristic"])
+    def test_method_and_strategy_spellings_share_a_key(self, name):
+        payload = problem_to_dict(small_random_problem(1))
+        by_method = cell_key_for_payload(payload, {"method": name})
+        assert by_method == cell_key_for_payload(payload, {"strategy": name})
+        if name == "registry":
+            assert by_method == cell_key_for_payload(payload, {})
 
     def test_cell_key_depends_on_both_parts(self):
         p1, p2 = small_random_problem(1), small_random_problem(2)
@@ -89,6 +103,34 @@ class TestResultsCache:
         path.write_text('{"truncated": ')  # simulates a pre-atomic crash
         assert cache.get(key) is None
         assert not path.exists()
+
+    def test_len_counts_the_directory_once_then_tracks_writes(
+        self, tmp_path, monkeypatch
+    ):
+        ResultsCache(tmp_path).put("00" + "5" * 62, {"i": 0})
+        corrupt = "01" + "5" * 62  # left on disk by a crash
+        ResultsCache(tmp_path).path(corrupt).parent.mkdir(parents=True)
+        ResultsCache(tmp_path).path(corrupt).write_text("{")
+        cache = ResultsCache(tmp_path)
+        globs = []
+        real_glob = Path.glob
+
+        def counting_glob(self, pattern):
+            globs.append(pattern)
+            return real_glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        counts = [len(cache)]
+        cache.put("02" + "5" * 62, {"i": 2})  # new key
+        counts.append(len(cache))
+        cache.put("02" + "5" * 62, {"i": 3})  # repeated key
+        counts.append(len(cache))
+        assert cache.get(corrupt) is None  # removed as a miss
+        counts.append(len(cache))
+        assert len(globs) == 1
+        monkeypatch.undo()
+        assert counts == [2, 3, 3, 2]
+        assert len(cache) == sum(1 for _ in tmp_path.glob("*/*.json"))
 
     def test_no_temp_files_left_behind(self, tmp_path):
         cache = ResultsCache(tmp_path)

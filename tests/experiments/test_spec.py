@@ -47,7 +47,7 @@ class TestParsing:
         assert spec.grid.apps == (2,)
         assert spec.grid.seeds == (0,)
         assert spec.solvers[0].objective == "period"
-        assert spec.solvers[0].method == "registry"
+        assert spec.solvers[0].strategy == "registry"
         assert spec.n_cells == 1
 
     def test_cross_product_counts(self):
@@ -203,14 +203,15 @@ class TestStrategyAndBudgetKeys:
         with pytest.raises(CampaignSpecError, match="invalid budget"):
             self.solver(strategy="greedy", budget=budget)
 
-    def test_legacy_entries_unchanged(self):
-        """Old method-only entries keep the same dict form (and hence
-        the same cache digests)."""
+    def test_method_is_a_spelling_of_strategy(self):
+        """A ``method`` entry parses to the same spec, dict form and cache
+        digest as the ``strategy`` entry of the same name."""
         solver = self.solver(objective="period", method="heuristic")
+        assert solver == self.solver(objective="period", strategy="heuristic")
         assert solver.to_dict() == {
             "name": "s",
             "objective": "period",
-            "method": "heuristic",
+            "strategy": "heuristic",
         }
 
     def test_engine_omitted_keeps_digest_stable(self):

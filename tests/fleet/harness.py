@@ -286,7 +286,8 @@ def fleet_smoke(n_problems: int = 8) -> Dict[str, Any]:
         ]
         seen = {fleet.owner_of(small_random_problem(s)) for s in seeds}
         assert seen == {"shard0", "shard1"}, seen
-        problems = [small_random_problem(seed) for seed in range(n_problems)]
+        seeds += [s for s in range(n_problems) if s not in seeds]
+        problems = [small_random_problem(s) for s in seeds[:n_problems]]
         ids = [client.submit(p)["id"] for p in problems]
         assert any(i.endswith("@shard0") for i in ids)
         assert any(i.endswith("@shard1") for i in ids)

@@ -22,6 +22,7 @@ from repro.algorithms import (
 from repro.algorithms.exact import exact_minimize
 from repro.core.evaluation import application_latency, application_period
 from repro.generators import small_random_problem
+from repro.service import solve_one
 from repro.simulation import simulate
 
 ALL_CELLS = list(PlatformClass)
@@ -75,7 +76,7 @@ class TestRegistrySolverCoherence:
             with pytest.raises(SolverError):
                 minimize_period(problem)
             # The exact/heuristic fallbacks still serve the cell.
-            heur = minimize_period(problem, method="heuristic")
+            heur = solve_one(problem, "period", strategy="heuristic")
             assert not heur.optimal
             problem.check_mapping(heur.mapping)
 

@@ -114,7 +114,7 @@ class TestJobRecord:
         assert job.outcome is outcome
         assert job.source == "solved"
 
-    def test_method_and_budget_in_summary(self):
+    def test_strategy_and_budget_in_summary(self):
         from repro.strategies import SolveBudget
 
         job = JobRecord(
@@ -127,5 +127,5 @@ class TestJobRecord:
             ),
         )
         solver = job.request_summary()["solver"]
-        assert solver["method"] == "registry"
+        assert solver["strategy"] == "registry"
         assert solver["budget"] == {"max_evaluations": 10}

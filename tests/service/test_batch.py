@@ -8,12 +8,12 @@ from repro import MappingRule, PlatformClass, Thresholds
 from repro.generators import small_random_problem
 from repro.service import (
     BatchItem,
-    dispatch_method,
+    dispatch_strategy,
     solve_batch,
     solve_one,
 )
 from repro.service.batch import _auto_chunksize
-from repro.strategies import SolveBudget
+from repro.strategies import SolveBudget, StrategyError
 
 ALL_CLASSES = list(PlatformClass)
 
@@ -35,16 +35,16 @@ class TestDispatch:
         problem = small_random_problem(
             0, platform_class=PlatformClass.FULLY_HOMOGENEOUS
         )
-        assert dispatch_method(problem, "period") == "auto"
-        assert dispatch_method(problem, "latency") == "auto"
-        assert dispatch_method(problem, "energy") == "auto"
+        assert dispatch_strategy(problem, "period") == "auto"
+        assert dispatch_strategy(problem, "latency") == "auto"
+        assert dispatch_strategy(problem, "energy") == "auto"
 
     def test_np_hard_cell_uses_heuristic(self):
         problem = small_random_problem(
             0, platform_class=PlatformClass.FULLY_HETEROGENEOUS
         )
-        assert dispatch_method(problem, "period") == "heuristic"
-        assert dispatch_method(problem, "energy") == "heuristic"
+        assert dispatch_strategy(problem, "period") == "heuristic"
+        assert dispatch_strategy(problem, "energy") == "heuristic"
 
 
 class TestSolveOne:
@@ -70,6 +70,14 @@ class TestSolveOne:
         )
         with pytest.raises(ValueError, match="period threshold"):
             solve_one(problem, "energy")
+
+    def test_energy_without_period_bound_for_general_strategies(self):
+        # Only the dispatch strategies refuse an unbounded energy solve.
+        problem = small_random_problem(
+            5, platform_class=PlatformClass.FULLY_HOMOGENEOUS
+        )
+        solution = solve_one(problem, "energy", strategy="local_search")
+        assert solution.values.energy == solution.objective
 
     def test_energy_with_threshold(self):
         problem = small_random_problem(
@@ -116,9 +124,9 @@ class TestSolveBatch:
 
     def test_failures_are_contained(self):
         problems = _problems(4)
-        # method="auto" raises SolverError on NP-hard cells: those items
-        # must come back status="error" without poisoning the batch.
-        result = solve_batch(problems, objective="period", method="auto")
+        # strategy="auto" fails on NP-hard cells: those items must come
+        # back status="error" without poisoning the batch.
+        result = solve_batch(problems, objective="period", strategy="auto")
         assert len(result.items) == 4
         statuses = {x.status for x in result.items}
         assert "ok" in statuses and "error" in statuses
@@ -167,9 +175,8 @@ class TestSharedInstanceFastPath:
         problem = small_random_problem(9)
         config = {
             "objective": "period",
-            "method": "registry",
             "thresholds": None,
-            "strategy": None,
+            "strategy": "registry",
             "budget": None,
             "problem": problem,
             "trace": None,
@@ -212,13 +219,16 @@ class TestBatchItem:
 class TestFailurePaths:
     """Unknown parameters and per-item failures stay contained."""
 
-    def test_unknown_method_becomes_error_items(self):
-        result = solve_batch(_problems(2), method="simplex")
-        assert result.n_failed == 2
-        for item in result.items:
-            assert item.status == "error"
-            assert "unknown method" in item.error
-            assert item.solution is None
+    def test_unknown_strategy_rejected_before_solving(self):
+        with pytest.raises(StrategyError, match="unknown strategy"):
+            solve_batch(_problems(2), strategy="simplex")
+
+    def test_auto_outside_polynomial_cells_raises_strategy_error(self):
+        problem = small_random_problem(
+            0, platform_class=PlatformClass.FULLY_HETEROGENEOUS
+        )
+        with pytest.raises(StrategyError, match="'auto' failed"):
+            solve_one(problem, "period", strategy="auto")
 
     def test_unknown_objective_in_solve_one(self):
         with pytest.raises(ValueError, match="unknown objective"):
@@ -230,13 +240,13 @@ class TestFailurePaths:
         assert all("period threshold" in x.error for x in result.items)
 
     def test_error_items_do_not_poison_pooled_batch(self):
-        # method="auto" raises SolverError on NP-hard cells; the pooled
-        # run must interleave errors and successes item by item.
+        # strategy="auto" fails on NP-hard cells; the pooled run must
+        # interleave errors and successes item by item.
         problems = _problems(6)
         pooled = solve_batch(
-            problems, objective="period", method="auto", workers=2
+            problems, objective="period", strategy="auto", workers=2
         )
-        sequential = solve_batch(problems, objective="period", method="auto")
+        sequential = solve_batch(problems, objective="period", strategy="auto")
         assert len(pooled.items) == 6
         statuses = [x.status for x in pooled.items]
         assert "ok" in statuses and "error" in statuses
@@ -283,14 +293,28 @@ class TestChunking:
 
 
 class TestTelemetry:
-    def test_method_path_records_method_as_strategy(self):
-        result = solve_batch(_problems(2), method="heuristic")
+    def test_dispatch_strategy_recorded_in_telemetry(self):
+        result = solve_batch(_problems(2), strategy="heuristic")
         for item in result.items:
             assert item.telemetry is not None
             assert item.telemetry.strategy == "heuristic"
             assert item.telemetry.status == item.status
 
-    def test_budgeted_method_path_counts_evaluations(self):
+    def test_unbudgeted_default_counts_evaluations(self):
+        """The default registry dispatch runs under a live meter, so a
+        heuristic cell reports the evaluations it spent."""
+        problems = [
+            small_random_problem(
+                s, platform_class=PlatformClass.FULLY_HETEROGENEOUS
+            )
+            for s in range(2)
+        ]
+        for item in solve_batch(problems).items:
+            assert item.telemetry.strategy == "registry"
+            assert item.telemetry.evaluations > 0
+            assert not item.telemetry.budget_exhausted
+
+    def test_budgeted_dispatch_strategy_counts_evaluations(self):
         problems = [
             small_random_problem(
                 s, platform_class=PlatformClass.FULLY_HETEROGENEOUS
@@ -299,7 +323,7 @@ class TestTelemetry:
         ]
         result = solve_batch(
             problems,
-            method="heuristic",
+            strategy="heuristic",
             budget=SolveBudget(max_evaluations=50),
         )
         for item in result.items:

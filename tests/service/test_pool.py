@@ -45,9 +45,8 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 def _solve_config(**overrides):
     config = {
         "objective": "period",
-        "method": "registry",
         "thresholds": None,
-        "strategy": None,
+        "strategy": "registry",
         "budget": None,
         "problem": None,
         "trace": None,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro import Criterion, PlatformClass, Thresholds
-from repro.algorithms import exact, heuristics, minimize_period
+from repro.algorithms import exact, heuristics
 from repro.generators import small_random_problem
 from repro.strategies import BudgetMeter, SolveBudget
 
@@ -190,9 +190,16 @@ class TestCooperativeEnforcement:
             )
 
     def test_unbudgeted_paths_are_unchanged(self):
-        """budget=None keeps the historical behavior bit-identical."""
+        """An unlimited meter leaves the heuristic's answer bit-identical
+        to running it without one."""
         problem = hard_problem(7)
-        assert (
-            minimize_period(problem, method="heuristic").objective
-            == minimize_period(problem, method="heuristic", budget=None).objective
+        start = heuristics.greedy_interval_period(problem)
+        metered = heuristics.hill_climb(
+            problem,
+            start.mapping,
+            Criterion.PERIOD,
+            budget=SolveBudget().meter(),
         )
+        plain = heuristics.hill_climb(problem, start.mapping, Criterion.PERIOD)
+        assert metered.objective == plain.objective
+        assert metered.mapping == plain.mapping

@@ -18,8 +18,6 @@ from repro.strategies import (
     strategy_names,
 )
 
-ALL_CLASSES = list(PlatformClass)
-
 
 class TestRegistry:
     def test_at_least_ten_strategies_registered(self):
@@ -74,36 +72,6 @@ class TestRegistry:
             )
 
 
-class TestAliasesMatchMethods:
-    """strategy="x" must reproduce method="x" exactly (the acceptance
-    criterion: the method strings are thin aliases)."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("method", ["registry", "heuristic"])
-    def test_period_objective(self, seed, method):
-        problem = small_random_problem(
-            seed, platform_class=ALL_CLASSES[seed % len(ALL_CLASSES)]
-        )
-        via_method = solve_one(problem, "period", method=method)
-        via_strategy = solve_one(problem, "period", strategy=method)
-        assert via_strategy.objective == via_method.objective
-        assert via_strategy.solver == via_method.solver
-
-    def test_energy_objective(self):
-        problem = small_random_problem(
-            3, platform_class=PlatformClass.FULLY_HETEROGENEOUS, n_modes=2
-        )
-        period = solve_one(problem, "period").objective
-        thresholds = Thresholds(period=2 * period)
-        via_method = solve_one(
-            problem, "energy", method="heuristic", thresholds=thresholds
-        )
-        via_strategy = solve_one(
-            problem, "energy", strategy="heuristic", thresholds=thresholds
-        )
-        assert via_strategy.objective == via_method.objective
-
-
 class TestBuiltinStrategies:
     def test_theorem_solver_on_its_cell(self):
         problem = small_random_problem(
@@ -113,7 +81,7 @@ class TestBuiltinStrategies:
         )
         result = get_strategy("period_interval_dp").run(problem, "period")
         assert result.ok and result.solution.optimal
-        reference = solve_one(problem, "period", method="auto")
+        reference = solve_one(problem, "period", strategy="auto")
         assert result.solution.objective == pytest.approx(reference.objective)
 
     def test_theorem_solver_off_cell_is_contained(self):

@@ -55,6 +55,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "optimal : False" in out
 
+    def test_solve_failure_is_an_error_line(self, capsys):
+        # auto is the paper's polynomial algorithm: NP-hard cells fail.
+        argv = ["solve", "--platform", "fully-heterogeneous", "--seed", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: strategy 'auto' failed")
+
     def test_simulate(self, capsys):
         assert main(["simulate", "--datasets", "50"]) == 0
         out = capsys.readouterr().out
